@@ -6,7 +6,6 @@ exact), the martingale maximal inequality, and boundary-limit experiments
 for harmonic functions with integrable boundary growth.
 """
 
-from .geom import BallSpec, angle, random_rotation, rotate_about, rotation_defects, rotation_to
 from .harmonic import (
     HarmonicFn,
     InvariantViolation,
@@ -34,13 +33,11 @@ from .brownian import (
     PathConfig,
     exit_continuity_check,
     exit_points_batch,
-    normal_cdf,
     reflection_crossing_mc,
     reflection_prob,
     scaling_check,
     simulate_exit,
     tightness_N,
-    wos_exit_point,
     wos_exit_points,
 )
 from .martingale import (
@@ -53,7 +50,6 @@ from .martingale import (
 from .sphere import (
     SurfaceQuadrature,
     ball_volume,
-    shell_average,
     surface_area,
     surface_integral,
     uniform_sphere_sample,
@@ -62,7 +58,6 @@ from .stats import KsReport, McEstimate, ks_one_sample, ks_two_sample, mc_estima
 from .streams import rng_stream
 
 __all__ = [
-    "BallSpec",
     "CensoredExit",
     "ExitEvent",
     "HarmonicFn",
@@ -75,7 +70,6 @@ __all__ = [
     "RadiusSchedule",
     "RateData",
     "SurfaceQuadrature",
-    "angle",
     "ball_volume",
     "catalog",
     "delta3",
@@ -93,26 +87,19 @@ __all__ = [
     "mc_estimate",
     "mean_value_residual",
     "monotonicity_report",
-    "normal_cdf",
     "poisson_extend",
     "poisson_kernel",
     "radius_schedule",
-    "random_rotation",
     "reflection_crossing_mc",
     "reflection_prob",
     "rng_stream",
-    "rotate_about",
-    "rotation_defects",
-    "rotation_to",
     "sample_Y_skeleton",
     "scaling_check",
-    "shell_average",
     "simulate_exit",
     "surface_area",
     "surface_integral",
     "tightness_N",
     "uniform_sphere_sample",
-    "wos_exit_point",
     "wos_exit_points",
     "zero_fn",
 ]

@@ -7,9 +7,12 @@ Two engines produce exit points from a ball centered at the origin:
 * an exact-in-distribution sampler that draws the exit point from its known
   density against the uniform distribution by rejection.
 
-All simulation is chunked over paths with one Philox stream per chunk, so
-results are a function of (seed, stream_id, config) alone, independent of
-how chunks are scheduled across workers.
+Every Euler check runs through one kernel, ``euler_chunk``, which steps a
+chunk of paths until a level (|x|, or x1 for a half-line) reaches a bound;
+``exit_points`` turns its exit steps into exit times and sphere points.
+``run_chunks`` schedules chunks of CHUNK paths, each with its own Philox
+stream, so results are a function of (seed, stream_id, config) alone,
+independent of how chunks are scheduled across workers.
 """
 
 from __future__ import annotations
@@ -26,11 +29,6 @@ from .stats import KsReport, McEstimate, ks_two_sample, mc_estimate
 from .streams import rng_stream
 
 CHUNK = 8192  # paths per rng stream; fixed so worker count cannot matter
-
-
-def normal_cdf(x):
-    """Standard normal CDF via the complementary error function (<= 1e-12 abs)."""
-    return special.ndtr(x)
 
 
 def reflection_prob(t: float, lam: float) -> float:
@@ -78,7 +76,6 @@ class PathConfig:
     horizon: float
     seed: int
     stream_id: int = 0
-    bridge_correction: bool = True
 
     def __post_init__(self):
         if self.m < 1:
@@ -87,6 +84,10 @@ class PathConfig:
             raise ValueError("dt must be positive")
         if self.horizon < self.dt:
             raise ValueError("horizon must be >= dt")
+
+    @property
+    def n_steps(self) -> int:
+        return int(math.ceil(self.horizon / self.dt))
 
 
 @dataclass(frozen=True)
@@ -104,68 +105,145 @@ class CensoredExit:
     elapsed: float
 
 
-def _project(points: np.ndarray, r: float) -> np.ndarray:
-    nrm = np.linalg.norm(points, axis=-1, keepdims=True)
-    return points * (r / nrm)
+def run_chunks(n_paths: int, fn, workers: int = 1) -> list:
+    """``fn(chunk_index, lo, hi)`` for every CHUNK-path range, results in chunk order."""
+    ranges = [(i // CHUNK, i, min(i + CHUNK, n_paths)) for i in range(0, n_paths, CHUNK)]
+    if workers <= 1:
+        return [fn(*r) for r in ranges]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda r: fn(*r), ranges))
 
 
-def _crossing_fraction(x0: np.ndarray, x1: np.ndarray, r: float) -> np.ndarray:
-    """Bisection for s in [0,1] with |x0 + s (x1 - x0)| = r, rows vectorized."""
-    lo = np.zeros(x0.shape[0])
-    hi = np.ones(x0.shape[0])
-    d = x1 - x0
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        inside = np.linalg.norm(x0 + mid[:, None] * d, axis=1) < r
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
-    return 0.5 * (lo + hi)
+def _radius(x: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(x, axis=1)
+
+
+def _first_coordinate(x: np.ndarray) -> np.ndarray:
+    return x[:, 0]
+
+
+@dataclass(frozen=True)
+class ChunkExits:
+    """Per path: the clock before its exit step, the positions on either side
+    of that step, whether the step ended outside (otherwise the bridge fired),
+    and whether the horizon censored it.  A censored path carries the elapsed
+    time and its last position on both sides."""
+
+    t0: np.ndarray
+    before: np.ndarray
+    after: np.ndarray
+    outside: np.ndarray
+    censored: np.ndarray
+
+
+def euler_chunk(rng, x0, c: int, dt: float, n_steps: int, bound: float,
+                level=_radius, bridge: bool = True, observe=None) -> ChunkExits:
+    """Step c paths from x0 until ``level(x) >= bound``, for at most n_steps steps.
+
+    With ``bridge`` a path that stays below also exits with probability
+    exp(-2 d0 d1 / dt), d0 and d1 its distances below the bound before and
+    after the step (the half-space bridge correction); one uniform per live
+    path is drawn after its Gaussian step.  Without it only grid crossings
+    count.  ``observe(rows, x, level, t)`` sees the chunk rows still inside
+    after every step, their positions and levels, and the clock t.
+    """
+    x = np.tile(np.asarray(x0, dtype=float), (c, 1))
+    lv = level(x)
+    if np.any(lv >= bound):
+        raise ValueError("start must lie in the open ball")
+    m = x.shape[1]
+    sq = math.sqrt(dt)
+    live = np.arange(c)
+    t0 = np.empty(c)
+    before = np.empty((c, m))
+    after = np.empty((c, m))
+    outside = np.zeros(c, dtype=bool)
+    t = 0.0  # every live path shares one clock
+    for _ in range(n_steps):
+        if live.size == 0:
+            break
+        xn = x + rng.standard_normal((live.size, m)) * sq
+        ln = level(xn)
+        out = ln >= bound
+        done = out
+        if bridge:
+            u = rng.random(live.size)
+            done = out | (u < np.exp(-2.0 * (bound - lv) * np.maximum(bound - ln, 0.0) / dt))
+        if np.any(done):
+            rows = live[done]
+            t0[rows] = t
+            before[rows] = x[done]
+            after[rows] = xn[done]
+            outside[rows] = out[done]
+            keep = ~done
+            live, x, lv = live[keep], xn[keep], ln[keep]
+        else:
+            x, lv = xn, ln
+        t += dt
+        if observe is not None and live.size:
+            observe(live, x, lv, t)
+    censored = np.zeros(c, dtype=bool)
+    censored[live] = True
+    t0[live] = t
+    before[live] = x
+    after[live] = x
+    return ChunkExits(t0, before, after, outside, censored)
+
+
+def exit_points(ex: ChunkExits, r: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exit times and exit points on |x| = r for a chunk's exit steps.
+
+    A step that ended outside exits where its chord meets the sphere, found by
+    bisection; a bridge exit happens at mid-step, at the step's midpoint
+    projected radially to the sphere.  Censored rows keep their elapsed time
+    and get NaN points.
+    """
+    tau = ex.t0.copy()
+    pts = np.full(ex.before.shape, np.nan)
+
+    def project(p):
+        return p * (r / np.linalg.norm(p, axis=-1, keepdims=True))
+
+    hard = ex.outside
+    if np.any(hard):
+        a, b = ex.before[hard], ex.after[hard]
+        d = b - a
+        lo = np.zeros(a.shape[0])
+        hi = np.ones(a.shape[0])
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            inside = np.linalg.norm(a + mid[:, None] * d, axis=1) < r
+            lo = np.where(inside, mid, lo)
+            hi = np.where(inside, hi, mid)
+        s = 0.5 * (lo + hi)
+        tau[hard] = ex.t0[hard] + s * dt
+        pts[hard] = project(a + s[:, None] * d)
+    soft = ~hard & ~ex.censored
+    if np.any(soft):
+        tau[soft] = ex.t0[soft] + 0.5 * dt
+        pts[soft] = project(0.5 * (ex.before[soft] + ex.after[soft]))
+    return tau, pts
 
 
 def simulate_exit(cfg: PathConfig, x0, r: float):
     """One discretized path until it leaves D(0, r); returns (event, trace).
 
     The trace rows are (t, x_1 .. x_m) including the start and the exit (or
-    censoring) point.  At a grid crossing the exit time comes from bisection
-    on the linear interpolant; between two interior steps a sub-step
-    excursion is declared with probability exp(-2 d0 d1 / dt) where d0, d1
-    are the distances to the sphere, and then the exit is placed at the
-    midpoint time with the midpoint projected radially to the sphere.
+    censoring) point.  The path is one row of ``euler_chunk`` on the stream
+    (seed, stream_id), with the exit placed by ``exit_points``.
     """
     x0 = np.asarray(x0, dtype=float)
-    if not float(np.linalg.norm(x0)) < r:
-        raise ValueError("start must lie in the open ball")
-    rng = rng_stream(cfg.seed, cfg.stream_id)
-    sq = math.sqrt(cfg.dt)
     rows = [np.concatenate([[0.0], x0])]
-    x = x0.copy()
-    t = 0.0
-    while t < cfg.horizon:
-        step = rng.standard_normal(cfg.m) * sq
-        u = rng.random()
-        x_new = x + step
-        t_new = t + cfg.dt
-        if float(np.linalg.norm(x_new)) >= r:
-            s = float(_crossing_fraction(x[None, :], x_new[None, :], r)[0])
-            tau = t + s * cfg.dt
-            pt = _project(x + s * (x_new - x), r)
-            rows.append(np.concatenate([[tau], pt]))
-            return ExitEvent(tau, pt, "discretized", cfg.dt), np.array(rows)
-        if cfg.bridge_correction:
-            d0 = r - float(np.linalg.norm(x))
-            d1 = r - float(np.linalg.norm(x_new))
-            if u < math.exp(-2.0 * d0 * d1 / cfg.dt):
-                tau = t + 0.5 * cfg.dt
-                pt = _project(0.5 * (x + x_new), r)
-                rows.append(np.concatenate([[tau], pt]))
-                return ExitEvent(tau, pt, "discretized", cfg.dt), np.array(rows)
-        x, t = x_new, t_new
-        rows.append(np.concatenate([[t], x]))
-    return CensoredExit(elapsed=t), np.array(rows)
 
+    def trace(_rows, x, _level, t):
+        rows.append(np.concatenate([[t], x[0]]))
 
-def _chunk_ranges(n: int):
-    return [(i, min(i + CHUNK, n)) for i in range(0, n, CHUNK)]
+    ex = euler_chunk(rng_stream(cfg.seed, cfg.stream_id), x0, 1, cfg.dt, cfg.n_steps, r, observe=trace)
+    if ex.censored[0]:
+        return CensoredExit(elapsed=float(ex.t0[0])), np.array(rows)
+    tau, pts = exit_points(ex, r, cfg.dt)
+    rows.append(np.concatenate([tau[:1], pts[0]]))
+    return ExitEvent(float(tau[0]), pts[0], "discretized", cfg.dt), np.array(rows)
 
 
 def exit_points_batch(cfg: PathConfig, x0, r: float, n_paths: int, workers: int = 1):
@@ -176,70 +254,12 @@ def exit_points_batch(cfg: PathConfig, x0, r: float, n_paths: int, workers: int 
     stream (seed, stream_id, chunk); output is byte-identical for any
     ``workers``.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if not float(np.linalg.norm(x0)) < r:
-        raise ValueError("start must lie in the open ball")
-    taus = np.empty(n_paths)
-    points = np.full((n_paths, cfg.m), np.nan)
-    censored = np.zeros(n_paths, dtype=bool)
 
-    def run_chunk(chunk_index: int, lo: int, hi: int):
-        rng = rng_stream(cfg.seed, cfg.stream_id, chunk_index)
-        c = hi - lo
-        x = np.tile(x0, (c, 1))
-        t = np.zeros(c)
-        alive = np.arange(c)
-        ctau = np.empty(c)
-        cpts = np.full((c, cfg.m), np.nan)
-        ccen = np.zeros(c, dtype=bool)
-        sq = math.sqrt(cfg.dt)
-        n_steps = int(math.ceil(cfg.horizon / cfg.dt))
-        for _ in range(n_steps):
-            if alive.size == 0:
-                break
-            xi = rng.standard_normal((alive.size, cfg.m)) * sq
-            u = rng.random(alive.size)
-            xa = x[alive]
-            xn = xa + xi
-            t_new = t[alive] + cfg.dt
-            nrm_new = np.linalg.norm(xn, axis=1)
-            crossed = nrm_new >= r
-            if cfg.bridge_correction:
-                d0 = r - np.linalg.norm(xa, axis=1)
-                d1 = r - nrm_new
-                bridge = (~crossed) & (u < np.exp(-2.0 * d0 * np.maximum(d1, 0.0) / cfg.dt))
-            else:
-                bridge = np.zeros(alive.size, dtype=bool)
-            if np.any(crossed):
-                idx = alive[crossed]
-                s = _crossing_fraction(xa[crossed], xn[crossed], r)
-                ctau[idx] = t[idx] + s * cfg.dt
-                cpts[idx] = _project(xa[crossed] + s[:, None] * (xn[crossed] - xa[crossed]), r)
-            if np.any(bridge):
-                idx = alive[bridge]
-                ctau[idx] = t[idx] + 0.5 * cfg.dt
-                cpts[idx] = _project(0.5 * (xa[bridge] + xn[bridge]), r)
-            done = crossed | bridge
-            x[alive] = xn
-            t[alive] = t_new
-            alive = alive[~done]
-        if alive.size:
-            ccen[alive] = True
-            ctau[alive] = t[alive]
-        taus[lo:hi] = ctau
-        points[lo:hi] = cpts
-        censored[lo:hi] = ccen
+    def run(ci: int, lo: int, hi: int):
+        ex = euler_chunk(rng_stream(cfg.seed, cfg.stream_id, ci), x0, hi - lo, cfg.dt, cfg.n_steps, r)
+        return (*exit_points(ex, r, cfg.dt), ex.censored)
 
-    ranges = _chunk_ranges(n_paths)
-    if workers <= 1:
-        for ci, (lo, hi) in enumerate(ranges):
-            run_chunk(ci, lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(run_chunk, ci, lo, hi) for ci, (lo, hi) in enumerate(ranges)]
-            for f in futs:
-                f.result()
-    return taus, points, censored
+    return tuple(np.concatenate(part) for part in zip(*run_chunks(n_paths, run, workers)))
 
 
 def wos_density_bounds(s: float, m: int) -> tuple[float, float]:
@@ -278,11 +298,6 @@ def wos_exit_points(rng: np.random.Generator, x, r: float, n: int) -> np.ndarray
     return r * out
 
 
-def wos_exit_point(rng: np.random.Generator, x, r: float) -> np.ndarray:
-    """Single exact exit point; see wos_exit_points."""
-    return wos_exit_points(rng, x, r, 1)[0]
-
-
 def wos_from_many(rng: np.random.Generator, xs: np.ndarray, r: float) -> np.ndarray:
     """Exit points of D(0, r) for one path each starting at the rows of xs."""
     xs = np.asarray(xs, dtype=float)
@@ -313,51 +328,23 @@ def reflection_crossing_mc(
     n_paths: int,
     seed: int,
     stream_id: int = 0,
-    bridge_correction: bool = True,
     workers: int = 1,
 ) -> McEstimate:
     """Monte Carlo P(sup over [0, t] of a 1-d Brownian path >= lam).
 
-    Euler steps plus the half-space bridge correction for sub-step crossings,
-    the empirical counterpart of ``reflection_prob``.
+    Euler steps of x1 up to the level lam, with the half-space bridge
+    correction for sub-step crossings, over round(t / dt) steps: the
+    empirical counterpart of ``reflection_prob``.
     """
     if not (t > 0.0 and lam > 0.0 and dt > 0.0):
         raise ValueError("t, lam, dt must be positive")
-    hits = np.zeros(n_paths, dtype=bool)
 
-    def run_chunk(chunk_index: int, lo: int, hi: int):
-        rng = rng_stream(seed, stream_id, chunk_index)
-        c = hi - lo
-        x = np.zeros(c)
-        alive = np.arange(c)
-        hit = np.zeros(c, dtype=bool)
-        sq = math.sqrt(dt)
-        for _ in range(int(round(t / dt))):
-            if alive.size == 0:
-                break
-            xi = rng.standard_normal(alive.size) * sq
-            u = rng.random(alive.size)
-            xa = x[alive]
-            xn = xa + xi
-            crossed = xn >= lam
-            if bridge_correction:
-                p = np.exp(-2.0 * (lam - xa) * np.maximum(lam - xn, 0.0) / dt)
-                crossed |= (~crossed) & (u < p)
-            hit[alive[crossed]] = True
-            x[alive] = xn
-            alive = alive[~crossed]
-        hits[lo:hi] = hit
+    def run(ci: int, lo: int, hi: int):
+        rng = rng_stream(seed, stream_id, ci)
+        ex = euler_chunk(rng, np.zeros(1), hi - lo, dt, int(round(t / dt)), lam, level=_first_coordinate)
+        return ~ex.censored
 
-    ranges = _chunk_ranges(n_paths)
-    if workers <= 1:
-        for ci, (lo, hi) in enumerate(ranges):
-            run_chunk(ci, lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(run_chunk, ci, lo, hi) for ci, (lo, hi) in enumerate(ranges)]
-            for f in futs:
-                f.result()
-    p = float(np.mean(hits))
+    p = float(np.mean(np.concatenate(run_chunks(n_paths, run, workers))))
     se = math.sqrt(max(p * (1.0 - p), 1e-300) / n_paths)
     return McEstimate(p, se, n_paths)
 
@@ -378,6 +365,7 @@ def scaling_check(
     dt: float = 1e-4,
     m: int = 2,
     horizon: float = 400.0,
+    workers: int = 1,
 ) -> ScalingReport:
     """Exit times from radius sqrt(r) against r times exit times from radius 1.
 
@@ -388,8 +376,8 @@ def scaling_check(
         raise ValueError("r must be positive")
     cfg_a = PathConfig(m=m, dt=dt, horizon=horizon, seed=seed, stream_id=0)
     cfg_b = PathConfig(m=m, dt=dt, horizon=horizon, seed=seed, stream_id=1)
-    tau_a, _, cen_a = exit_points_batch(cfg_a, np.zeros(m), math.sqrt(r), n_paths)
-    tau_b, _, cen_b = exit_points_batch(cfg_b, np.zeros(m), 1.0, n_paths)
+    tau_a, _, cen_a = exit_points_batch(cfg_a, np.zeros(m), math.sqrt(r), n_paths, workers)
+    tau_b, _, cen_b = exit_points_batch(cfg_b, np.zeros(m), 1.0, n_paths, workers)
     a = tau_a[~cen_a]
     b = r * tau_b[~cen_b]
     ks = ks_two_sample(a, b)
@@ -417,17 +405,19 @@ def exit_continuity_check(
     n_paths: int,
     dt: float = 1e-4,
     horizon: float = 400.0,
+    stream_id: int = 0,
+    workers: int = 1,
 ) -> ContinuityReport:
     """Coupled exits from the nested balls D(0, r1) and D(0, r2).
 
     Preconditions (checked, named on failure): 0 <= r2 - r1 < 2^(-kappa-1)
     and 2 Phi((r2 - r1) / sqrt(2^(-kappa-1))) - 1 < 2^(-kappa-1).  The report
     compares the empirical P(tau2 - tau1 > 2^(-kappa+4)) with the bound
-    2^(-kappa+1).  Both crossings are read off the same Euler path so the
-    coupling is exact; tau2 >= tau1 pathwise by construction.
+    2^(-kappa+1).  Both crossings are grid times read off the same Euler
+    path (no bridge correction), so the coupling is exact and tau2 >= tau1
+    pathwise by construction.
     """
     x = np.asarray(x, dtype=float)
-    m = x.shape[0]
     gap = r2 - r1
     half = 2.0 ** (-kappa - 1)
     if not 0.0 <= gap < half:
@@ -440,42 +430,25 @@ def exit_continuity_check(
     if not float(np.linalg.norm(x)) < r1:
         raise ValueError("start must lie inside the inner ball")
     exceed_thr = 2.0 ** (-kappa + 4)
-    n_exc = 0
-    n_done = 0
-    min_diff = math.inf
 
-    for ci, (lo, hi) in enumerate(_chunk_ranges(n_paths)):
-        rng = rng_stream(seed, 0, ci)
-        c = hi - lo
-        xs = np.tile(x, (c, 1))
-        t = np.zeros(c)
-        tau1 = np.full(c, np.nan)
-        alive = np.arange(c)
-        sq = math.sqrt(dt)
-        n_steps = int(math.ceil(horizon / dt))
-        diffs = np.full(c, np.nan)
-        for _ in range(n_steps):
-            if alive.size == 0:
-                break
-            xi = rng.standard_normal((alive.size, m)) * sq
-            xn = xs[alive] + xi
-            t_new = t[alive] + dt
-            nrm = np.linalg.norm(xn, axis=1)
-            first = np.isnan(tau1[alive]) & (nrm >= r1)
-            tau1[alive[first]] = t_new[first]
-            out2 = nrm >= r2
-            if np.any(out2):
-                idx = alive[out2]
-                diffs[idx] = t_new[out2] - tau1[idx]
-            xs[alive] = xn
-            t[alive] = t_new
-            alive = alive[~out2]
-        done = ~np.isnan(diffs)
-        n_done += int(done.sum())
-        n_exc += int(np.sum(diffs[done] > exceed_thr))
-        if np.any(done):
-            min_diff = min(min_diff, float(np.min(diffs[done])))
-    p = n_exc / max(n_done, 1)
+    def run(ci: int, lo: int, hi: int):
+        tau1 = np.full(hi - lo, np.nan)
+
+        def first_past_r1(rows, _x, level, t):
+            first = np.isnan(tau1[rows]) & (level >= r1)
+            tau1[rows[first]] = t
+
+        rng = rng_stream(seed, stream_id, ci)
+        ex = euler_chunk(rng, x, hi - lo, dt, int(math.ceil(horizon / dt)), r2, bridge=False, observe=first_past_r1)
+        done = ~ex.censored
+        tau2 = ex.t0[done] + dt
+        # a path that passes r1 on its exit step has tau1 = tau2
+        return tau2 - np.where(np.isnan(tau1[done]), tau2, tau1[done])
+
+    diffs = np.concatenate(run_chunks(n_paths, run, workers))
+    n_done = diffs.size
+    p = int(np.sum(diffs > exceed_thr)) / max(n_done, 1)
     se = math.sqrt(max(p * (1.0 - p), 1e-300) / max(n_done, 1))
     bound = 2.0 ** (-kappa + 1)
+    min_diff = float(np.min(diffs)) if n_done else math.inf
     return ContinuityReport(p, se, bound, exceed_thr, p <= bound + 3.0 * se, min_diff)

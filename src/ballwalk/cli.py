@@ -31,7 +31,7 @@ from .brownian import (
     wos_exit_points,
 )
 from .harmonic import catalog, estimate_rates, zero_fn
-from .hardy_limit import limit_experiment, radius_schedule
+from .hardy_limit import VARIANTS, limit_experiment, radius_schedule
 from .martingale import (
     MartingaleSample,
     lambda_bar,
@@ -85,7 +85,7 @@ class RunConfig:
             raise ConfigError("q_max must be >= 1")
         if not 0.0 < self.r_trunc < 1.0:
             raise ConfigError("r_trunc must lie in (0, 1)")
-        if self.variant not in ("paper-133", "paper-step10", "conservative-min"):
+        if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
@@ -318,7 +318,9 @@ def suite_tightness(cfg: RunConfig, out: Path) -> bool:
 
 
 def suite_scaling(cfg: RunConfig, out: Path) -> bool:
-    rep = scaling_check(cfg.seed, 4.0, cfg.n_paths, dt=cfg.dt, m=cfg.m, horizon=cfg.horizon)
+    rep = scaling_check(
+        cfg.seed, 4.0, cfg.n_paths, dt=cfg.dt, m=cfg.m, horizon=cfg.horizon, workers=cfg.workers
+    )
     print(f"scaling: KS {rep.ks.statistic:.4f} vs threshold {rep.ks.threshold:.4f} -> {'pass' if rep.ks.passed else 'fail'}")
     verdicts = [
         verdict(
@@ -344,7 +346,8 @@ def suite_scaling(cfg: RunConfig, out: Path) -> bool:
 def suite_continuity(cfg: RunConfig, out: Path) -> bool:
     kappa, r1, gap = 2, 0.9, 0.045
     rep = exit_continuity_check(
-        cfg.seed, np.zeros(cfg.m), r1, r1 + gap, kappa, cfg.n_paths, dt=cfg.dt, horizon=cfg.horizon
+        cfg.seed, np.zeros(cfg.m), r1, r1 + gap, kappa, cfg.n_paths,
+        dt=cfg.dt, horizon=cfg.horizon, stream_id=70, workers=cfg.workers,
     )
     verdicts = [
         verdict(
@@ -538,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--paths", type=int, default=None, help="number of Monte Carlo paths")
         p.add_argument("--dt", type=float, default=None)
-        p.add_argument("--variant", default=None, choices=["paper-133", "paper-step10", "conservative-min"])
+        p.add_argument("--variant", default=None, choices=VARIANTS)
         p.add_argument("--q-max", type=int, default=None)
         p.add_argument("--workers", type=int, default=None)
         p.add_argument("--m", type=int, default=None)
@@ -577,7 +580,11 @@ def main(argv=None) -> int:
     out = Path(cfg.out_dir)
     if args.command == "report":
         return run_report(out)
-    ok = _RUNNERS[args.command](cfg, out)
+    try:
+        ok = _RUNNERS[args.command](cfg, out)
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     print(f"{args.command}: {'PASS' if ok else 'FAIL'} (outputs in {out})")
     return 0 if ok else 1
 

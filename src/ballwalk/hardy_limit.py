@@ -14,12 +14,11 @@ paths.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .brownian import PathConfig, _chunk_ranges, _crossing_fraction, _project, tightness_N
+from .brownian import PathConfig, euler_chunk, exit_points, run_chunks, tightness_N
 from .harmonic import HarmonicFn, RateData
 from .sphere import eval_on_points
 from .streams import rng_stream
@@ -134,90 +133,39 @@ def limit_experiment(
         raise ValueError("need max schedule radius < r_trunc < 1")
     q_max = sched.q_max
     radii = sched.radii
-    sup_dev = np.full((n_paths, q_max), np.nan)
-    censored = np.zeros(n_paths, dtype=bool)
-    trunc_gap = np.zeros(n_paths) if u.boundary_fn is not None else None
 
-    def run_chunk(chunk_index: int, lo: int, hi: int):
-        rng = rng_stream(cfg.seed, cfg.stream_id, chunk_index)
+    def run(chunk_index: int, lo: int, hi: int):
         c = hi - lo
-        m = cfg.m
-        x = np.zeros((c, m))
-        t = np.zeros(c)
         umin = np.full((c, q_max), np.inf)
         umax = np.full((c, q_max), -np.inf)
         crossed = np.zeros((c, q_max), dtype=bool)
+
+        def windows(rows, x, level, _t):
+            crossed[rows] |= level[:, None] >= radii[None, :]
+            windowed = crossed[rows, 0]  # radii increase, so q=1 opens first
+            if np.any(windowed):
+                wrows = rows[windowed]
+                uv = eval_on_points(u.eval, x[windowed])
+                uvc = np.where(crossed[wrows], uv[:, None], np.nan)
+                umin[wrows] = np.fmin(umin[wrows], uvc)
+                umax[wrows] = np.fmax(umax[wrows], uvc)
+
+        rng = rng_stream(cfg.seed, cfg.stream_id, chunk_index)
+        ex = euler_chunk(rng, np.zeros(cfg.m), c, cfg.dt, cfg.n_steps, r_trunc, observe=windows)
+        _, exit_pts = exit_points(ex, r_trunc, cfg.dt)
+        cen = ex.censored
+        good = ~cen
         vhat = np.full(c, np.nan)
-        exit_pts = np.full((c, m), np.nan)
-        cen = np.zeros(c, dtype=bool)
-        alive = np.arange(c)
-        sq = math.sqrt(cfg.dt)
-        n_steps = int(math.ceil(cfg.horizon / cfg.dt))
-        for _ in range(n_steps):
-            if alive.size == 0:
-                break
-            xi = rng.standard_normal((alive.size, m)) * sq
-            uu = rng.random(alive.size)
-            xa = x[alive]
-            xn = xa + xi
-            nrm = np.linalg.norm(xn, axis=1)
-            exited = nrm >= r_trunc
-            if cfg.bridge_correction:
-                d0 = r_trunc - np.linalg.norm(xa, axis=1)
-                d1 = r_trunc - nrm
-                exited |= (~exited) & (uu < np.exp(-2.0 * d0 * np.maximum(d1, 0.0) / cfg.dt))
-            inside = ~exited
-            if np.any(inside):
-                rows = alive[inside]
-                crossed[rows] |= nrm[inside, None] >= radii[None, :]
-                windowed = crossed[rows, 0]  # radii increase, so q=1 opens first
-                if np.any(windowed):
-                    wrows = rows[windowed]
-                    uv = eval_on_points(u.eval, xn[inside][windowed])
-                    cmask = crossed[wrows]
-                    uvc = np.where(cmask, uv[:, None], np.nan)
-                    umin[wrows] = np.fmin(umin[wrows], uvc)
-                    umax[wrows] = np.fmax(umax[wrows], uvc)
-            if np.any(exited):
-                rows = alive[exited]
-                xa_e, xn_e = xa[exited], xn[exited]
-                hard = np.linalg.norm(xn_e, axis=1) >= r_trunc
-                pts = np.empty((rows.size, m))
-                if np.any(hard):
-                    s = _crossing_fraction(xa_e[hard], xn_e[hard], r_trunc)
-                    pts[hard] = _project(xa_e[hard] + s[:, None] * (xn_e[hard] - xa_e[hard]), r_trunc)
-                if np.any(~hard):
-                    pts[~hard] = _project(0.5 * (xa_e[~hard] + xn_e[~hard]), r_trunc)
-                exit_pts[rows] = pts
-                vhat[rows] = eval_on_points(u.eval, pts)
-            x[alive] = xn
-            t[alive] = t[alive] + cfg.dt
-            alive = alive[~exited]
-        cen[alive] = True
-        dev_hi = umax - vhat[:, None]
-        dev_lo = vhat[:, None] - umin
-        dev = np.maximum(dev_hi, dev_lo)
+        vhat[good] = eval_on_points(u.eval, exit_pts[good])
+        dev = np.maximum(umax - vhat[:, None], vhat[:, None] - umin)
         dev[~np.isfinite(dev)] = 0.0  # window never opened or empty
         dev[cen] = np.nan
-        sup_dev[lo:hi] = dev
-        censored[lo:hi] = cen
-        if trunc_gap is not None:
-            good = ~cen
-            proj = np.full((c, m), np.nan)
-            proj[good] = exit_pts[good] / r_trunc
-            g2 = np.zeros(c)
-            g2[good] = np.abs(vhat[good] - eval_on_points(u.boundary_fn, proj[good]))
-            trunc_gap[lo:hi] = g2
+        gap = np.zeros(c)
+        if u.boundary_fn is not None:
+            gap[good] = np.abs(vhat[good] - eval_on_points(u.boundary_fn, exit_pts[good] / r_trunc))
+        return dev, cen, gap
 
-    ranges = _chunk_ranges(n_paths)
-    if workers <= 1:
-        for ci, (lo, hi) in enumerate(ranges):
-            run_chunk(ci, lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(run_chunk, ci, lo, hi) for ci, (lo, hi) in enumerate(ranges)]
-            for f in futs:
-                f.result()
+    sup_dev, censored, trunc_gap = (np.concatenate(p) for p in zip(*run_chunks(n_paths, run, workers)))
 
     n_cen = int(censored.sum())
     n_ok = n_paths - n_cen
@@ -241,7 +189,7 @@ def limit_experiment(
     cen_frac = n_cen / n_paths
     cen_se = math.sqrt(max(cen_frac * (1 - cen_frac), 1e-300) / n_paths)
     cen_ok = cen_frac <= allowance + 3.0 * cen_se
-    gap = float(np.max(trunc_gap)) if trunc_gap is not None and n_ok else None
+    gap = float(np.max(trunc_gap)) if u.boundary_fn is not None and n_ok else None
     return LimitReport(
         rows=rows,
         n_paths=n_paths,

@@ -187,25 +187,3 @@ def monotonicity_report(u: HarmonicFn, r_grid, quad: SurfaceQuadrature) -> Monot
         and identity <= tol.INTEGRAL_IDENTITY_TOL
     )
     return MonotonicityReport(grid, i1, i2, i3, down, i2_down, identity, float(np.max(i2)), ok)
-
-
-def martingale_drift_report(sample: MartingaleSample, n_bins: int = 10) -> float:
-    """Worst |z-score| of E[Y_next - Y_prev | Y_prev bucket] over quantile buckets.
-
-    A sampled-martingale witness: conditional increments should vanish, so
-    each bucket mean should sit within a few standard errors of zero.
-    """
-    worst = 0.0
-    vals = sample.values
-    for j in range(sample.stages - 1):
-        prev, nxt = vals[:, j], vals[:, j + 1]
-        edges = np.quantile(prev, np.linspace(0.0, 1.0, n_bins + 1))
-        for b in range(n_bins):
-            lo, hi = edges[b], edges[b + 1]
-            mask = (prev >= lo) & (prev <= hi if b == n_bins - 1 else prev < hi)
-            if mask.sum() < 20:
-                continue
-            est = mc_estimate(nxt[mask] - prev[mask])
-            if est.std_error > 0:
-                worst = max(worst, abs(est.mean) / est.std_error)
-    return worst

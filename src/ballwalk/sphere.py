@@ -145,26 +145,6 @@ def surface_integral(g: Callable, quad: SurfaceQuadrature) -> float:
     return float(np.dot(w, eval_on_points(g, pts)))
 
 
-def surface_integral_report(g: Callable, quad: SurfaceQuadrature) -> tuple[float, float]:
-    """(value, residual estimate).
-
-    For the deterministic charts the residual is the change under halving the
-    node count; for Monte Carlo it is the standard error of the weighted mean.
-    """
-    pts, w = quad_nodes(quad)
-    vals = eval_on_points(g, pts)
-    value = float(np.dot(w, vals))
-    if quad.method == "chart-montecarlo":
-        n = quad.node_count
-        pair = (vals[:n] + vals[n:]) * (surface_area(quad.m, quad.r) / 2.0)
-        se = float(np.std(pair, ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
-        return value, se
-    coarse = SurfaceQuadrature(
-        quad.m, quad.r, quad.method, max(1, quad.node_count // 2), quad.seed
-    )
-    return value, abs(value - surface_integral(g, coarse))
-
-
 def mc_surface_area(m: int, n: int, seed: int) -> McEstimate:
     """Monte Carlo estimate of surface_area(m, 1) from weighted disc samples.
 
@@ -209,37 +189,3 @@ def uniform_sphere_sample(
     if y is not None:
         pts = pts + np.asarray(y, dtype=float)
     return pts[0] if size is None else pts
-
-
-def shell_average(
-    g: Callable,
-    m: int,
-    s: float,
-    r: float,
-    n: int,
-    rng: np.random.Generator,
-    return_estimate: bool = False,
-):
-    """Monte Carlo average of g(r x / |x|) over the shell s < |x| < r.
-
-    Samples the shell by rejection from the bounding cube [-r, r]^m and
-    radially projects accepted points to the outer sphere, estimating the
-    normalized shell integral that converges to the surface average as s -> r.
-    """
-    if not 0.0 < s < r:
-        raise ValueError("shell needs 0 < s < r")
-    vals = []
-    accept = 0
-    while accept < n:
-        batch = max(1024, n)
-        x = rng.uniform(-r, r, size=(batch, m))
-        nrm = np.linalg.norm(x, axis=1)
-        keep = (nrm > s) & (nrm < r)
-        if not np.any(keep):
-            continue
-        x = x[keep][: n - accept]
-        nrm = nrm[keep][: n - accept]
-        vals.append(eval_on_points(g, r * x / nrm[:, None]))
-        accept += x.shape[0]
-    est = mc_estimate(np.concatenate(vals))
-    return est if return_estimate else est.mean

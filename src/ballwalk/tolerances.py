@@ -4,17 +4,8 @@ Library code and the test suite import these from one place so a tolerance
 can never drift between an implementation and the check that pins it.
 """
 
-# Rotation matrices.
-ORTHOGONALITY_TOL = 1e-12   # Frobenius norm of a^T a - I
-DETERMINANT_TOL = 1e-12     # |det(a) - 1|
-UNIT_NORM_TOL = 1e-10       # | ||z|| - 1 | for requested sphere directions
-ROTATION_IMAGE_TOL = 1e-10  # || a e1 - z ||
-GRAM_SCHMIDT_SKIP = 1e-8    # residual norm below which a seed vector is dropped
-REFERENCE_SNAP = 1e-8       # ||z - e1|| below which the identity is returned
-
 # Spheres and quadrature.
 SPHERE_POINT_TOL = 1e-10    # kernel arguments must sit on the sphere this tightly
-EXIT_POINT_TOL = 1e-9       # simulated exit points must sit on the sphere this tightly
 QUAD_MONOTONE_TOL = 1e-8    # allowed downward step of a provably monotone integral
 INTEGRAL_IDENTITY_TOL = 1e-12  # exact integrand identities, shared quadrature nodes
 

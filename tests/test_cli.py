@@ -1,15 +1,18 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from ballwalk.cli import (
     EXIT_CONFIG_ERROR,
+    SUITES,
     ConfigError,
     RunConfig,
     main,
     parse_config_file,
 )
+from ballwalk.streams import rng_stream
 
 
 def run_cli(*args) -> int:
@@ -51,6 +54,11 @@ class TestConfigFile:
         assert run_cli("constants", "--config", str(p), "--seed", "2", "--out", str(tmp_path / "b")) == 0
         data = json.loads((tmp_path / "b" / "constants.json").read_text())
         assert data["seed"] == 2
+
+    def test_suite_value_error_exits_64(self, tmp_path, capsys):
+        # the two-sample KS of the scaling suite needs 50 paths per sample
+        assert run_cli("scaling", "--out", str(tmp_path), "--paths", "20", "--dt", "0.01") == EXIT_CONFIG_ERROR
+        assert "config error: two-sample KS needs n >= 50" in capsys.readouterr().err
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -112,3 +120,43 @@ class TestDeterminism:
         assert run_cli("scaling", "--out", str(a), "--paths", "400", "--dt", "0.005", "--seed", "12", "--workers", "1") == 0
         assert run_cli("scaling", "--out", str(b), "--paths", "400", "--dt", "0.005", "--seed", "12", "--workers", "4") == 0
         assert (a / "scaling.csv").read_bytes() == (b / "scaling.csv").read_bytes()
+
+    def test_continuity_worker_count_invariance(self, tmp_path):
+        a, b = tmp_path / "w1", tmp_path / "w2"
+        for out, workers in ((a, "1"), (b, "2")):
+            args = ["--out", str(out), "--paths", "9000", "--dt", "0.005", "--seed", "13", "--workers", workers]
+            assert run_cli("continuity", *args) == 0
+        assert (a / "continuity.csv").read_bytes() == (b / "continuity.csv").read_bytes()
+
+
+# every suite at the smallest sizes it accepts (scaling's KS needs 50 paths)
+SMALL_ARGS = {
+    "constants": [],
+    "exit-dist": ["--paths", "100", "--dt", "0.01"],
+    "reflection": ["--paths", "100", "--dt", "0.01"],
+    "tightness": ["--paths", "100", "--dt", "0.01"],
+    "scaling": ["--paths", "50", "--dt", "0.01"],
+    "continuity": ["--paths", "100", "--dt", "0.01"],
+    "martingale": ["--paths", "200"],
+    "hardy-limit": ["--paths", "20", "--dt", "0.01"],
+}
+
+
+class TestStreams:
+    def test_no_two_suites_share_a_stream(self, tmp_path, monkeypatch):
+        users: dict = {}
+        current = []
+
+        def recording(seed, *key):
+            users.setdefault((seed, *key), set()).add(current[-1])
+            return rng_stream(seed, *key)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("ballwalk") and getattr(module, "rng_stream", None) is rng_stream:
+                monkeypatch.setattr(module, "rng_stream", recording)
+        for suite in SUITES:
+            current.append(suite)
+            assert run_cli(suite, "--out", str(tmp_path), *SMALL_ARGS[suite]) in (0, 1)
+        assert set(SMALL_ARGS) == set(SUITES)
+        shared = {key: sorted(suites) for key, suites in users.items() if len(suites) > 1}
+        assert not shared

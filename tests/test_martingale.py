@@ -12,7 +12,6 @@ from ballwalk.martingale import (
     lambda_bar,
     lambda_bar_closed,
     lambda_bar_series,
-    martingale_drift_report,
     maximal_inequality_check,
     monotonicity_report,
     sample_Y_skeleton,
@@ -132,7 +131,14 @@ class TestYSkeleton:
         u = catalog(2, with_rates=False)[0]
         rng = rng_stream(20260809, 43)
         sk = sample_Y_skeleton(rng, u, np.array([0.6, 0.8, 0.9]), 20_000)
-        assert martingale_drift_report(sk) <= 4.0
+        # conditional increments vanish: E[Y_next - Y_prev | Y_prev decile] ~ 0
+        for j in range(sk.stages - 1):
+            prev, nxt = sk.values[:, j], sk.values[:, j + 1]
+            edges = np.quantile(prev, np.linspace(0.0, 1.0, 11))
+            bucket = np.clip(np.searchsorted(edges, prev, side="right") - 1, 0, 9)
+            for b in range(10):
+                est = mc_estimate(nxt[bucket == b] - prev[bucket == b])
+                assert abs(est.mean) <= 4.0 * est.std_error
 
     def test_radii_must_increase(self):
         u = catalog(2, with_rates=False)[0]

@@ -3,16 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from ballwalk.geom import random_rotation
 from ballwalk.sphere import (
     SurfaceQuadrature,
     ball_volume,
     mc_surface_area,
     quad_nodes,
-    shell_average,
     surface_area,
     surface_integral,
-    surface_integral_report,
     uniform_sphere_sample,
 )
 from ballwalk.stats import ks_one_sample
@@ -24,6 +21,25 @@ GAUSS3 = SurfaceQuadrature(3, 1.0, "chart-gauss", 128)
 
 def ones(z):
     return np.ones(z.shape[0])
+
+
+def random_rotation(rng, m):
+    """Haar-ish random member of SO(m) via QR of a Gaussian matrix."""
+    q, r = np.linalg.qr(rng.standard_normal((m, m)))
+    q *= np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def mc_integral(g, quad):
+    """surface_integral under a Monte Carlo rule, with the standard error of
+    its mean over the rule's hemisphere pairs."""
+    pts, _ = quad_nodes(quad)
+    vals = g(pts)
+    n = quad.node_count
+    pair = (vals[:n] + vals[n:]) * (surface_area(quad.m, quad.r) / 2.0)
+    return surface_integral(g, quad), float(np.std(pair, ddof=1) / math.sqrt(n))
 
 
 class TestClosedForms:
@@ -87,7 +103,7 @@ class TestSurfaceIntegral:
         got = surface_integral(lambda z: z[:, 0] ** 2, GAUSS3)
         assert got == pytest.approx(4 * math.pi / 3, abs=1e-6)
         mc = SurfaceQuadrature(3, 1.0, "chart-montecarlo", 200_000, seed=11)
-        est, se = surface_integral_report(lambda z: z[:, 0] ** 2, mc)
+        est, se = mc_integral(lambda z: z[:, 0] ** 2, mc)
         assert abs(est - got) <= 5 * se
 
     def test_scaling_identity_random_polynomials(self, rng):
@@ -132,7 +148,7 @@ class TestSurfaceIntegral:
     def test_montecarlo_constant_matches_total_area(self):
         for m in (2, 4, 6):
             quad = SurfaceQuadrature(m, 1.0, "chart-montecarlo", 50_000, seed=3)
-            est, se = surface_integral_report(ones, quad)
+            est, se = mc_integral(ones, quad)
             assert abs(est - surface_area(m, 1.0)) <= max(5 * se, 1e-10)
 
 
@@ -165,19 +181,3 @@ class TestUniformSampling:
             chart_cdf /= surface_area(3, 1.0)
             assert chart_cdf == pytest.approx((t + 1) / 2, abs=0.01)
 
-
-class TestShellAverage:
-    def test_constant_is_exact(self, rng):
-        assert shell_average(ones, 3, 0.5, 1.0, 2000, rng) == 1.0
-
-    def test_second_moment_near_sphere_value(self, rng):
-        est = shell_average(lambda z: z[:, 0] ** 2, 3, 0.99, 1.0, 40_000, rng, return_estimate=True)
-        assert abs(est.mean - 1.0 / 3.0) <= 3 * est.std_error
-
-    def test_odd_vanishes(self, rng):
-        est = shell_average(lambda z: z[:, 0], 4, 0.9, 1.0, 40_000, rng, return_estimate=True)
-        assert abs(est.mean) <= 3 * est.std_error
-
-    def test_invalid_shell(self, rng):
-        with pytest.raises(ValueError):
-            shell_average(ones, 3, 1.0, 1.0, 10, rng)
