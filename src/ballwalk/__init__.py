@@ -33,6 +33,7 @@ from .brownian import (
     PathConfig,
     exit_continuity_check,
     exit_points_batch,
+    normal_cdf,
     reflection_crossing_mc,
     reflection_prob,
     scaling_check,
@@ -50,6 +51,7 @@ from .martingale import (
 from .sphere import (
     SurfaceQuadrature,
     ball_volume,
+    shell_average,
     surface_area,
     surface_integral,
     uniform_sphere_sample,
@@ -87,6 +89,7 @@ __all__ = [
     "mc_estimate",
     "mean_value_residual",
     "monotonicity_report",
+    "normal_cdf",
     "poisson_extend",
     "poisson_kernel",
     "radius_schedule",
@@ -95,6 +98,7 @@ __all__ = [
     "rng_stream",
     "sample_Y_skeleton",
     "scaling_check",
+    "shell_average",
     "simulate_exit",
     "surface_area",
     "surface_integral",

@@ -31,6 +31,11 @@ from .streams import rng_stream
 CHUNK = 8192  # paths per rng stream; fixed so worker count cannot matter
 
 
+def normal_cdf(x):
+    """Standard normal CDF Phi, elementwise."""
+    return special.ndtr(x)
+
+
 def reflection_prob(t: float, lam: float) -> float:
     """P(sup over [0, t] of a standard 1-d Brownian motion >= lam).
 
@@ -39,7 +44,7 @@ def reflection_prob(t: float, lam: float) -> float:
     """
     if not (t > 0.0 and lam > 0.0):
         raise ValueError("reflection_prob needs t > 0 and lam > 0")
-    return float(2.0 * special.ndtr(-lam / math.sqrt(t)))
+    return float(2.0 * normal_cdf(-lam / math.sqrt(t)))
 
 
 def tightness_N(r_tilde: float, k: int) -> int:
@@ -54,7 +59,7 @@ def tightness_N(r_tilde: float, k: int) -> int:
     target = 2.0 ** (-k)
 
     def ok(n: int) -> bool:
-        return 2.0 * float(special.ndtr(r_tilde / math.sqrt(n))) - 1.0 < target
+        return 2.0 * float(normal_cdf(r_tilde / math.sqrt(n))) - 1.0 < target
 
     if target >= 1.0:
         return 1
@@ -422,7 +427,7 @@ def exit_continuity_check(
     half = 2.0 ** (-kappa - 1)
     if not 0.0 <= gap < half:
         raise ValueError(f"precondition failed: r2 - r1 = {gap} not in [0, 2^-(kappa+1)) = [0, {half})")
-    stat = 2.0 * float(special.ndtr(gap / math.sqrt(half))) - 1.0
+    stat = 2.0 * float(normal_cdf(gap / math.sqrt(half))) - 1.0
     if not stat < half:
         raise ValueError(
             f"precondition failed: 2 Phi((r2-r1)/sqrt(2^-(kappa+1))) - 1 = {stat:.6f} >= {half}"

@@ -189,3 +189,37 @@ def uniform_sphere_sample(
     if y is not None:
         pts = pts + np.asarray(y, dtype=float)
     return pts[0] if size is None else pts
+
+
+def shell_average(
+    g: Callable,
+    m: int,
+    s: float,
+    r: float,
+    n: int,
+    rng: np.random.Generator,
+    return_estimate: bool = False,
+):
+    """Monte Carlo average of g(r x / |x|) over the shell s < |x| < r.
+
+    Samples the shell by rejection from the bounding cube [-r, r]^m and
+    radially projects accepted points to the outer sphere, estimating the
+    normalized shell integral that converges to the surface average as s -> r.
+    """
+    if not 0.0 < s < r:
+        raise ValueError("shell needs 0 < s < r")
+    vals = []
+    accept = 0
+    while accept < n:
+        batch = max(1024, n)
+        x = rng.uniform(-r, r, size=(batch, m))
+        nrm = np.linalg.norm(x, axis=1)
+        keep = (nrm > s) & (nrm < r)
+        if not np.any(keep):
+            continue
+        x = x[keep][: n - accept]
+        nrm = nrm[keep][: n - accept]
+        vals.append(eval_on_points(g, r * x / nrm[:, None]))
+        accept += x.shape[0]
+    est = mc_estimate(np.concatenate(vals))
+    return est if return_estimate else est.mean

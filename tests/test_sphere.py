@@ -8,6 +8,7 @@ from ballwalk.sphere import (
     ball_volume,
     mc_surface_area,
     quad_nodes,
+    shell_average,
     surface_area,
     surface_integral,
     uniform_sphere_sample,
@@ -181,3 +182,19 @@ class TestUniformSampling:
             chart_cdf /= surface_area(3, 1.0)
             assert chart_cdf == pytest.approx((t + 1) / 2, abs=0.01)
 
+
+class TestShellAverage:
+    def test_constant_is_exact(self, rng):
+        assert shell_average(ones, 3, 0.5, 1.0, 2000, rng) == 1.0
+
+    def test_second_moment_near_sphere_value(self, rng):
+        est = shell_average(lambda z: z[:, 0] ** 2, 3, 0.99, 1.0, 40_000, rng, return_estimate=True)
+        assert abs(est.mean - 1.0 / 3.0) <= 3 * est.std_error
+
+    def test_odd_vanishes(self, rng):
+        est = shell_average(lambda z: z[:, 0], 4, 0.9, 1.0, 40_000, rng, return_estimate=True)
+        assert abs(est.mean) <= 3 * est.std_error
+
+    def test_invalid_shell(self, rng):
+        with pytest.raises(ValueError):
+            shell_average(ones, 3, 1.0, 1.0, 10, rng)
