@@ -51,7 +51,6 @@ from .martingale import (
 from .sphere import (
     SurfaceQuadrature,
     ball_volume,
-    shell_average,
     surface_area,
     surface_integral,
     uniform_sphere_sample,
@@ -98,7 +97,6 @@ __all__ = [
     "rng_stream",
     "sample_Y_skeleton",
     "scaling_check",
-    "shell_average",
     "simulate_exit",
     "surface_area",
     "surface_integral",

@@ -8,8 +8,9 @@ Two engines produce exit points from a ball centered at the origin:
   density against the uniform distribution by rejection.
 
 Every Euler check runs through one kernel, ``euler_chunk``, which steps a
-chunk of paths until a level (|x|, or x1 for a half-line) reaches a bound;
-``exit_points`` turns its exit steps into exit times and sphere points.
+chunk of paths, many time steps per numpy call, until a level (|x|, or x1
+for a half-line) reaches a bound; ``exit_points`` turns its exit steps into
+exit times and sphere points.
 ``run_chunks`` schedules chunks of CHUNK paths, each with its own Philox
 stream, so results are a function of (seed, stream_id, config) alone,
 independent of how chunks are scheduled across workers.
@@ -120,11 +121,11 @@ def run_chunks(n_paths: int, fn, workers: int = 1) -> list:
 
 
 def _radius(x: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(x, axis=1)
+    return np.sqrt(np.einsum("...i,...i->...", x, x))
 
 
 def _first_coordinate(x: np.ndarray) -> np.ndarray:
-    return x[:, 0]
+    return x[..., 0]
 
 
 @dataclass(frozen=True)
@@ -141,16 +142,32 @@ class ChunkExits:
     censored: np.ndarray
 
 
+MAX_BLOCK = 1024  # time steps per block
+BLOCK_CELLS = 2**15  # steps x live paths x m per block: caps a block's memory
+ROW_ADD_BLOCK = 64  # blocks up to this many steps sum their rows in a loop
+BRIDGE_CUTOFF = 20.0  # d0 d1 / dt above this: bridge probability below e^-40
+
+
 def euler_chunk(rng, x0, c: int, dt: float, n_steps: int, bound: float,
                 level=_radius, bridge: bool = True, observe=None) -> ChunkExits:
     """Step c paths from x0 until ``level(x) >= bound``, for at most n_steps steps.
 
-    With ``bridge`` a path that stays below also exits with probability
-    exp(-2 d0 d1 / dt), d0 and d1 its distances below the bound before and
-    after the step (the half-space bridge correction); one uniform per live
-    path is drawn after its Gaussian step.  Without it only grid crossings
-    count.  ``observe(rows, x, level, t)`` sees the chunk rows still inside
-    after every step, their positions and levels, and the clock t.
+    Live paths advance in blocks of k = min(steps left, MAX_BLOCK,
+    BLOCK_CELLS // (live m)) steps: one (k, live, m) Gaussian block is summed
+    from the current positions, and a path exits at its first step that ends
+    at or above the bound.  k depends on the live count alone, so the draws
+    are a function of the stream; normals are drawn for whole blocks, past a
+    path's exit too.  With ``bridge`` a step that stays below also exits
+    with probability exp(-2 d0 d1 / dt), d0 and d1 the distances below the
+    bound before and after it (the half-space bridge correction); a uniform
+    is drawn, after the block's normals, only for steps before a path's
+    first crossing with d0 d1 <= BRIDGE_CUTOFF dt, as elsewhere that
+    probability is below e^-40.
+
+    ``observe(rows, xs, levels, t, valid)`` sees each block: the chunk rows
+    live at its start, positions xs[k, n, m] and levels[k, n] after each
+    step, the clock t at its start (step i ends at t + (i+1) dt), and
+    valid[k, n], true for the steps before each path's exit step.
     """
     x = np.tile(np.asarray(x0, dtype=float), (c, 1))
     lv = level(x)
@@ -163,30 +180,46 @@ def euler_chunk(rng, x0, c: int, dt: float, n_steps: int, bound: float,
     before = np.empty((c, m))
     after = np.empty((c, m))
     outside = np.zeros(c, dtype=bool)
+    cutoff = BRIDGE_CUTOFF * dt if bridge else 0.0
     t = 0.0  # every live path shares one clock
-    for _ in range(n_steps):
-        if live.size == 0:
-            break
-        xn = x + rng.standard_normal((live.size, m)) * sq
-        ln = level(xn)
-        out = ln >= bound
-        done = out
-        if bridge:
-            u = rng.random(live.size)
-            done = out | (u < np.exp(-2.0 * (bound - lv) * np.maximum(bound - ln, 0.0) / dt))
-        if np.any(done):
-            rows = live[done]
-            t0[rows] = t
-            before[rows] = x[done]
-            after[rows] = xn[done]
-            outside[rows] = out[done]
-            keep = ~done
-            live, x, lv = live[keep], xn[keep], ln[keep]
+    left = n_steps
+    while live.size and left:
+        n = live.size
+        k = min(left, MAX_BLOCK, max(1, BLOCK_CELLS // (n * m)))
+        xs = rng.standard_normal((k, n, m))
+        xs *= sq
+        xs[0] += x
+        if k <= ROW_ADD_BLOCK:  # cumsum over a short first axis is slow in numpy
+            for s in range(1, k):
+                xs[s] += xs[s - 1]
         else:
-            x, lv = xn, ln
-        t += dt
-        if observe is not None and live.size:
-            observe(live, x, lv, t)
+            np.cumsum(xs, axis=0, out=xs)
+        ls = level(xs)
+        d1 = bound - ls
+        d0d1 = np.concatenate([(bound - lv)[None], d1[:-1]]) * d1
+        # d0 d1 <= 0 at every step that first ends outside, so one scan finds
+        # the grid crossings and the steps near enough for the bridge
+        i, col = np.nonzero(d0d1 <= cutoff)
+        hard = d1[i, col] <= 0.0
+        j = np.full(n, k)  # each path's exit step in the block, k if none
+        np.minimum.at(j, col[hard], i[hard])
+        if bridge:
+            near = ~hard & (i < j[col])
+            i, col = i[near], col[near]
+            fire = rng.random(i.size) < np.exp(-2.0 * d0d1[i, col] / dt)
+            np.minimum.at(j, col[fire], i[fire])
+        if observe is not None:
+            observe(live, xs, ls, t, np.arange(k)[:, None] < j)
+        keep = j == k
+        e = np.flatnonzero(~keep)
+        je, rows = j[e], live[e]
+        t0[rows] = t + je * dt
+        before[rows] = np.where((je > 0)[:, None], xs[je - 1, e], x[e])
+        after[rows] = xs[je, e]
+        outside[rows] = d1[je, e] <= 0.0
+        live, x, lv = live[keep], xs[-1, keep], ls[-1, keep]
+        t += k * dt
+        left -= k
     censored = np.zeros(c, dtype=bool)
     censored[live] = True
     t0[live] = t
@@ -198,10 +231,11 @@ def euler_chunk(rng, x0, c: int, dt: float, n_steps: int, bound: float,
 def exit_points(ex: ChunkExits, r: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Exit times and exit points on |x| = r for a chunk's exit steps.
 
-    A step that ended outside exits where its chord meets the sphere, found by
-    bisection; a bridge exit happens at mid-step, at the step's midpoint
-    projected radially to the sphere.  Censored rows keep their elapsed time
-    and get NaN points.
+    A step a -> a + d that ended outside exits at the root s in [0, 1] of
+    |a + s d| = r, in the form of the quadratic formula that does not cancel
+    for the sign of a.d; a bridge exit happens at mid-step, at the step's
+    midpoint projected radially to the sphere.  Censored rows keep their
+    elapsed time and get NaN points.
     """
     tau = ex.t0.copy()
     pts = np.full(ex.before.shape, np.nan)
@@ -211,16 +245,13 @@ def exit_points(ex: ChunkExits, r: float, dt: float) -> tuple[np.ndarray, np.nda
 
     hard = ex.outside
     if np.any(hard):
-        a, b = ex.before[hard], ex.after[hard]
-        d = b - a
-        lo = np.zeros(a.shape[0])
-        hi = np.ones(a.shape[0])
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            inside = np.linalg.norm(a + mid[:, None] * d, axis=1) < r
-            lo = np.where(inside, mid, lo)
-            hi = np.where(inside, hi, mid)
-        s = 0.5 * (lo + hi)
+        a = ex.before[hard]
+        d = ex.after[hard] - a
+        b = np.einsum("ij,ij->i", a, d)
+        dd = np.einsum("ij,ij->i", d, d)
+        c = r * r - np.einsum("ij,ij->i", a, a)
+        root = np.sqrt(b * b + dd * c)  # > |b|, and dd > 0: neither form divides by 0
+        s = np.where(b >= 0.0, c / (b + root), (root - b) / dd)
         tau[hard] = ex.t0[hard] + s * dt
         pts[hard] = project(a + s[:, None] * d)
     soft = ~hard & ~ex.censored
@@ -238,17 +269,18 @@ def simulate_exit(cfg: PathConfig, x0, r: float):
     (seed, stream_id), with the exit placed by ``exit_points``.
     """
     x0 = np.asarray(x0, dtype=float)
-    rows = [np.concatenate([[0.0], x0])]
+    rows = [np.concatenate([[0.0], x0])[None]]
 
-    def trace(_rows, x, _level, t):
-        rows.append(np.concatenate([[t], x[0]]))
+    def trace(_rows, xs, _levels, t, valid):
+        k = int(valid[:, 0].sum())
+        rows.append(np.column_stack([t + cfg.dt * np.arange(1, k + 1), xs[:k, 0]]))
 
     ex = euler_chunk(rng_stream(cfg.seed, cfg.stream_id), x0, 1, cfg.dt, cfg.n_steps, r, observe=trace)
     if ex.censored[0]:
-        return CensoredExit(elapsed=float(ex.t0[0])), np.array(rows)
+        return CensoredExit(elapsed=float(ex.t0[0])), np.concatenate(rows)
     tau, pts = exit_points(ex, r, cfg.dt)
-    rows.append(np.concatenate([tau[:1], pts[0]]))
-    return ExitEvent(float(tau[0]), pts[0], "discretized", cfg.dt), np.array(rows)
+    rows.append(np.concatenate([tau[:1], pts[0]])[None])
+    return ExitEvent(float(tau[0]), pts[0], "discretized", cfg.dt), np.concatenate(rows)
 
 
 def exit_points_batch(cfg: PathConfig, x0, r: float, n_paths: int, workers: int = 1):
@@ -439,9 +471,10 @@ def exit_continuity_check(
     def run(ci: int, lo: int, hi: int):
         tau1 = np.full(hi - lo, np.nan)
 
-        def first_past_r1(rows, _x, level, t):
-            first = np.isnan(tau1[rows]) & (level >= r1)
-            tau1[rows[first]] = t
+        def first_past_r1(rows, _xs, levels, t, valid):
+            past = valid & (levels >= r1)
+            first = np.isnan(tau1[rows]) & past.any(axis=0)
+            tau1[rows[first]] = t + (past[:, first].argmax(axis=0) + 1) * dt
 
         rng = rng_stream(seed, stream_id, ci)
         ex = euler_chunk(rng, x, hi - lo, dt, int(math.ceil(horizon / dt)), r2, bridge=False, observe=first_past_r1)

@@ -140,15 +140,21 @@ def limit_experiment(
         umax = np.full((c, q_max), -np.inf)
         crossed = np.zeros((c, q_max), dtype=bool)
 
-        def windows(rows, x, level, _t):
-            crossed[rows] |= level[:, None] >= radii[None, :]
-            windowed = crossed[rows, 0]  # radii increase, so q=1 opens first
-            if np.any(windowed):
-                wrows = rows[windowed]
-                uv = eval_on_points(u.eval, x[windowed])
-                uvc = np.where(crossed[wrows], uv[:, None], np.nan)
-                umin[wrows] = np.fmin(umin[wrows], uvc)
-                umax[wrows] = np.fmax(umax[wrows], uvc)
+        def windows(rows, xs, levels, _t, valid):
+            # radii increase, so q=1 opens first: only paths whose q=1 window
+            # is open or opens in this block are looked at
+            sel = crossed[rows, 0] | np.any(valid & (levels >= radii[0]), axis=0)
+            if not np.any(sel):
+                return
+            wrows, v = rows[sel], valid[:, sel, None]
+            opened = crossed[wrows] | np.logical_or.accumulate(v & (levels[:, sel, None] >= radii), axis=0)
+            inwin = v & opened  # (k, n, q): step i lies in path n's window q
+            seen = inwin[..., 0]
+            uv = np.zeros(seen.shape)
+            uv[seen] = eval_on_points(u.eval, xs[:, sel][seen])
+            umin[wrows] = np.minimum(umin[wrows], np.where(inwin, uv[..., None], np.inf).min(axis=0))
+            umax[wrows] = np.maximum(umax[wrows], np.where(inwin, uv[..., None], -np.inf).max(axis=0))
+            crossed[wrows] = opened[-1]
 
         rng = rng_stream(cfg.seed, cfg.stream_id, chunk_index)
         ex = euler_chunk(rng, np.zeros(cfg.m), c, cfg.dt, cfg.n_steps, r_trunc, observe=windows)

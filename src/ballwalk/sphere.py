@@ -129,14 +129,11 @@ def quad_nodes(quad: SurfaceQuadrature) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eval_on_points(g: Callable, pts: np.ndarray) -> np.ndarray:
-    """Evaluate g on rows of pts, accepting vectorized or scalar callables."""
-    try:
-        vals = np.asarray(g(pts), dtype=float)
-        if vals.shape == (pts.shape[0],):
-            return vals
-    except Exception:
-        pass
-    return np.array([float(g(p)) for p in pts])
+    """Evaluate a vectorized g on the rows of pts; one value per row, else ValueError."""
+    vals = np.asarray(g(pts), dtype=float)
+    if vals.shape != (pts.shape[0],):
+        raise ValueError(f"g must map {pts.shape[0]} rows to shape ({pts.shape[0]},), got {vals.shape}")
+    return vals
 
 
 def surface_integral(g: Callable, quad: SurfaceQuadrature) -> float:
@@ -189,37 +186,3 @@ def uniform_sphere_sample(
     if y is not None:
         pts = pts + np.asarray(y, dtype=float)
     return pts[0] if size is None else pts
-
-
-def shell_average(
-    g: Callable,
-    m: int,
-    s: float,
-    r: float,
-    n: int,
-    rng: np.random.Generator,
-    return_estimate: bool = False,
-):
-    """Monte Carlo average of g(r x / |x|) over the shell s < |x| < r.
-
-    Samples the shell by rejection from the bounding cube [-r, r]^m and
-    radially projects accepted points to the outer sphere, estimating the
-    normalized shell integral that converges to the surface average as s -> r.
-    """
-    if not 0.0 < s < r:
-        raise ValueError("shell needs 0 < s < r")
-    vals = []
-    accept = 0
-    while accept < n:
-        batch = max(1024, n)
-        x = rng.uniform(-r, r, size=(batch, m))
-        nrm = np.linalg.norm(x, axis=1)
-        keep = (nrm > s) & (nrm < r)
-        if not np.any(keep):
-            continue
-        x = x[keep][: n - accept]
-        nrm = nrm[keep][: n - accept]
-        vals.append(eval_on_points(g, r * x / nrm[:, None]))
-        accept += x.shape[0]
-    est = mc_estimate(np.concatenate(vals))
-    return est if return_estimate else est.mean

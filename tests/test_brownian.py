@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ballwalk import brownian
 from ballwalk.brownian import (
     CensoredExit,
+    ChunkExits,
     ExitEvent,
     PathConfig,
+    euler_chunk,
     exit_continuity_check,
+    exit_points,
     exit_points_batch,
     normal_cdf,
     reflection_crossing_mc,
@@ -148,6 +152,85 @@ class TestExitPointsBatch:
         taus, _, cen = exit_points_batch(cfg, np.zeros(3), 1.0, 4000)
         est = mc_estimate(taus[~cen])
         assert abs(est.mean - 1.0 / 3.0) <= 3 * est.std_error + 2e-3
+
+
+class TestEulerChunk:
+    @pytest.mark.parametrize("cells", [brownian.BLOCK_CELLS, 2**8])
+    def test_observer_sees_each_step_once_across_blocks(self, monkeypatch, cells):
+        # with 2^8 cells a block holds at most two steps of 64 paths
+        monkeypatch.setattr(brownian, "BLOCK_CELLS", cells)
+        c, dt, n_steps = 64, 1e-3, 600
+        seen = [[] for _ in range(c)]
+        blocks = []
+
+        def record(rows, xs, levels, t, valid):
+            blocks.append(xs.shape[0])
+            assert np.allclose(levels, np.linalg.norm(xs, axis=-1), rtol=0, atol=1e-15)
+            assert np.all(levels[valid] < 1.0)
+            for col, row in enumerate(rows):
+                for i in np.flatnonzero(valid[:, col]):
+                    seen[row].append((t + (i + 1) * dt, xs[i, col]))
+
+        ex = euler_chunk(rng_stream(31), np.zeros(2), c, dt, n_steps, 1.0, observe=record)
+        assert len(blocks) > 2 and sum(blocks) <= n_steps
+        assert 0 < ex.censored.sum() < c
+        for row in range(c):
+            times = np.array([tt for tt, _ in seen[row]])
+            assert np.allclose(times, dt * np.arange(1, times.size + 1), rtol=0, atol=1e-12)
+            if ex.censored[row]:
+                assert times.size == n_steps
+            if times.size:
+                assert times[-1] == ex.t0[row]
+                assert np.array_equal(seen[row][-1][1], ex.before[row])
+            else:
+                assert ex.t0[row] == 0.0 and not ex.censored[row]
+
+    def test_censored_count_uses_exact_step_count(self):
+        cfg = PathConfig(m=2, dt=1e-3, horizon=0.0105, seed=3)
+        assert cfg.n_steps == 11
+        ex = euler_chunk(rng_stream(3), np.zeros(2), 50, cfg.dt, cfg.n_steps, 5.0)
+        assert ex.censored.all()
+        assert np.allclose(ex.t0, cfg.n_steps * cfg.dt, rtol=0, atol=1e-15)
+
+
+def bisect_crossing(a, d, r):
+    """Test oracle: the fraction s of the chord a -> a + d where |a + s d| = r."""
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if np.linalg.norm(a + mid * d) < r:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestExitPoints:
+    def test_closed_form_crossing_matches_bisection(self):
+        rng = rng_stream(32)
+        r = 0.999
+        cases = []
+        while len(cases) < 400:
+            m = int(rng.integers(1, 5))
+            if len(cases) % 2:
+                a = uniform_sphere_sample(rng, m) * r * rng.uniform(0.0, 1.0) ** 0.1
+                d = rng.standard_normal(m) * 10.0 ** rng.uniform(-3.0, 0.5)
+            else:  # from just inside, across the ball: b < 0 and c tiny
+                a = uniform_sphere_sample(rng, m) * r * (1.0 - 10.0 ** rng.uniform(-9.0, -4.0))
+                d = -a * rng.uniform(1.5, 2.5) + 0.2 * rng.standard_normal(m)
+            if np.linalg.norm(a + d) >= r:
+                cases.append((a, d))
+        for m in range(1, 5):
+            batch = [(a, d) for a, d in cases if a.size == m]
+            a = np.array([a for a, _ in batch])
+            d = np.array([d for _, d in batch])
+            n = a.shape[0]
+            ex = ChunkExits(np.zeros(n), a, a + d, np.ones(n, dtype=bool), np.zeros(n, dtype=bool))
+            tau, pts = exit_points(ex, r, 1.0)
+            oracle = np.array([bisect_crossing(ai, di, r) for ai, di in batch])
+            assert np.max(np.abs(tau - oracle)) <= 1e-12
+            assert np.max(np.abs(np.linalg.norm(pts, axis=1) - r)) <= 1e-12
+        assert any(np.dot(a, d) < 0 for a, d in cases) and any(np.dot(a, d) >= 0 for a, d in cases)
 
 
 class TestWalkOnSpheres:

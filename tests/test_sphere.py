@@ -6,9 +6,9 @@ import pytest
 from ballwalk.sphere import (
     SurfaceQuadrature,
     ball_volume,
+    eval_on_points,
     mc_surface_area,
     quad_nodes,
-    shell_average,
     surface_area,
     surface_integral,
     uniform_sphere_sample,
@@ -183,18 +183,24 @@ class TestUniformSampling:
             assert chart_cdf == pytest.approx((t + 1) / 2, abs=0.01)
 
 
-class TestShellAverage:
-    def test_constant_is_exact(self, rng):
-        assert shell_average(ones, 3, 0.5, 1.0, 2000, rng) == 1.0
+class TestEvalOnPoints:
+    def test_one_call_and_errors_propagate(self):
+        pts = uniform_sphere_sample(rng_stream(33), 3, size=5)
+        calls = []
 
-    def test_second_moment_near_sphere_value(self, rng):
-        est = shell_average(lambda z: z[:, 0] ** 2, 3, 0.99, 1.0, 40_000, rng, return_estimate=True)
-        assert abs(est.mean - 1.0 / 3.0) <= 3 * est.std_error
+        def norm(p):
+            calls.append(p.shape)
+            return np.linalg.norm(p)  # one value for all rows, not one per row
 
-    def test_odd_vanishes(self, rng):
-        est = shell_average(lambda z: z[:, 0], 4, 0.9, 1.0, 40_000, rng, return_estimate=True)
-        assert abs(est.mean) <= 3 * est.std_error
+        with pytest.raises(ValueError, match="shape"):
+            eval_on_points(norm, pts)
+        assert calls == [(5, 3)]
 
-    def test_invalid_shell(self, rng):
-        with pytest.raises(ValueError):
-            shell_average(ones, 3, 1.0, 1.0, 10, rng)
+        def scalar_only(p):
+            if p.ndim != 1:
+                raise TypeError("scalar input only")
+            return float(p[0])
+
+        with pytest.raises(TypeError):
+            eval_on_points(scalar_only, pts)
+        assert np.array_equal(eval_on_points(lambda p: p[:, 0], pts), pts[:, 0])
