@@ -2,8 +2,8 @@
 """Quick look at first-exit times of the unit ball across dimensions.
 
 Prints E[tau] against the exact (1 - |x0|^2)/m, the tail frequency
-P(tau > N_{2,k}) against its 2^(1-k) bound, and the walk-on-spheres vs
-discretized agreement for an off-center start.
+P(tau > N_{2,k}) against its 2^(1-k) bound, and the agreement of the
+discretized and exact exit samplers for an off-center start.
 """
 
 import argparse

@@ -4,8 +4,9 @@ Two engines produce exit points from a ball centered at the origin:
 
 * a discretized Euler walk with a half-space Brownian-bridge correction for
   sub-step excursions (the standard remedy for exit-detection bias), and
-* an exact-in-distribution sampler that draws the exit point from its known
-  density against the uniform distribution by rejection.
+* an exact-in-distribution sampler, ``wos_from_many``: one rejection loop
+  against the uniform law on the sphere, with the per-row bound
+  (1 + s) / (1 - s)^(m-1) on the exit density, s = |x| / r.
 
 Every Euler check runs through one kernel, ``euler_chunk``, which steps a
 chunk of paths, many time steps per numpy call, until a level (|x|, or x1
@@ -299,62 +300,47 @@ def exit_points_batch(cfg: PathConfig, x0, r: float, n_paths: int, workers: int 
     return tuple(np.concatenate(part) for part in zip(*run_chunks(n_paths, run, workers)))
 
 
-def wos_density_bounds(s: float, m: int) -> tuple[float, float]:
-    """Range of the exit-point density against uniform for a start at |x| = s."""
+def wos_density_bounds(s, m: int):
+    """Range of the exit-point density against uniform for a start at |x| = s (elementwise in s)."""
     return (1.0 - s * s) / (1.0 + s) ** m, (1.0 - s * s) / (1.0 - s) ** m
 
 
 def wos_exit_points(rng: np.random.Generator, x, r: float, n: int) -> np.ndarray:
-    """Exact-in-distribution exit points of D(0, r) for a start at x (rows, n of them).
-
-    For a centered start the law is uniform; otherwise rejection sampling
-    against the uniform proposal with the density's maximum
-    (1 - s^2) / (1 - s)^m, s = |x| / r, attained at the nearest boundary
-    point, as acceptance bound.
-    """
+    """Exact-in-distribution exit points of D(0, r) for n paths from x (rows)."""
     x = np.asarray(x, dtype=float)
-    m = x.shape[0]
-    s = float(np.linalg.norm(x)) / r
-    if not s < 1.0:
+    if not float(np.linalg.norm(x)) < r:
         raise ValueError("start must lie in the open ball")
-    if s < 1e-12:
-        return uniform_sphere_sample(rng, m, r=r, size=n)
-    xb = x / r
-    mmax = (1.0 - s * s) / (1.0 - s) ** m
-    out = np.empty((n, m))
-    need = n
-    while need:
-        batch = max(256, int(need / max(1e-3, 1.0 / mmax) * 1.2))
-        batch = min(batch, 4_000_000)
-        z = uniform_sphere_sample(rng, m, size=batch)
-        f = (1.0 - s * s) / np.linalg.norm(z - xb, axis=1) ** m
-        keep = rng.random(batch) * mmax < f
-        got = z[keep][:need]
-        out[n - need : n - need + got.shape[0]] = got
-        need -= got.shape[0]
-    return r * out
+    return wos_from_many(rng, np.tile(x, (n, 1)), r)
 
 
 def wos_from_many(rng: np.random.Generator, xs: np.ndarray, r: float) -> np.ndarray:
-    """Exit points of D(0, r) for one path each starting at the rows of xs."""
+    """Exact-in-distribution exit points of D(0, r), one path from each row of xs.
+
+    Rejection against the uniform law on the sphere: a proposal z is accepted
+    with probability f(z) / b, f(z) = (1 - s^2) / |z - x/r|^m the exit density
+    and b = (1 + s) / (1 - s)^(m-1) its maximum (``wos_density_bounds``),
+    s = |x| / r.  Each round draws k proposals for every pending row,
+    k = min(ceil(largest pending b), BLOCK_CELLS // (pending m)) and at
+    least 1, and a row keeps its first accepted proposal.
+    """
     xs = np.asarray(xs, dtype=float)
     n, m = xs.shape
-    s = np.linalg.norm(xs, axis=1) / r
+    xb = xs / r
+    s = _radius(xb)
     if not np.all(s < 1.0):
         raise ValueError("all starts must lie in the open ball")
+    bound = wos_density_bounds(s, m)[1]
     out = np.empty((n, m))
-    central = s < 1e-12
-    if np.any(central):
-        out[central] = uniform_sphere_sample(rng, m, size=int(central.sum()))
-    pending = np.flatnonzero(~central)
+    pending = np.arange(n)
     while pending.size:
-        z = uniform_sphere_sample(rng, m, size=pending.size)
-        sp = s[pending]
-        f = (1.0 - sp * sp) / np.linalg.norm(z - xs[pending] / r, axis=1) ** m
-        mmax = (1.0 - sp * sp) / (1.0 - sp) ** m
-        keep = rng.random(pending.size) * mmax < f
-        out[pending[keep]] = z[keep]
-        pending = pending[~keep]
+        p = pending.size
+        k = max(1, min(math.ceil(bound[pending].max()), BLOCK_CELLS // (p * m)))
+        z = uniform_sphere_sample(rng, m, size=p * k).reshape(p, k, m)
+        f = (1.0 - s[pending, None] ** 2) / _radius(z - xb[pending, None]) ** m
+        ok = rng.random((p, k)) * bound[pending, None] < f
+        hit = ok.any(axis=1)
+        out[pending[hit]] = z[hit, ok[hit].argmax(axis=1)]
+        pending = pending[~hit]
     return r * out
 
 

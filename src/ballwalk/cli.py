@@ -451,22 +451,18 @@ def suite_hardy_limit(cfg: RunConfig, out: Path) -> bool:
     verdicts = []
     rows = []
     slice_quad = SurfaceQuadrature(2, 1.0, "chart-gauss", 1024)
+    cat = catalog(2, with_rates=False)
+    zero = zero_fn(2)
     members = {
-        "x1": estimate_rates(catalog(2, with_rates=False)[0]),
-        "poisson-slice": estimate_rates(catalog(2, with_rates=False)[-1], quad=slice_quad),
-        "zero": zero_fn(2).hardy,
-    }
-    fns = {
-        "x1": catalog(2, with_rates=False)[0],
-        "poisson-slice": catalog(2, with_rates=False)[-1],
-        "zero": zero_fn(2),
+        "x1": (cat[0], estimate_rates(cat[0])),
+        "poisson-slice": (cat[-1], estimate_rates(cat[-1], quad=slice_quad)),
+        "zero": (zero, zero.hardy),
     }
     pc = PathConfig(m=2, dt=cfg.dt, horizon=cfg.horizon, seed=cfg.seed, stream_id=50)
-    for name, rates in members.items():
+    for i, (name, (fn, rates)) in enumerate(members.items()):
         sched = radius_schedule(rates, cfg.q_max, cfg.variant)
         rep = limit_experiment(
-            fns[name], sched, replace(pc, stream_id=50 + list(members).index(name)),
-            cfg.n_paths, cfg.r_trunc, workers=cfg.workers,
+            fn, sched, replace(pc, stream_id=50 + i), cfg.n_paths, cfg.r_trunc, workers=cfg.workers
         )
         for row in rep.rows:
             rows.append([name, row.q, row.radius, row.bound, row.exceedance, row.std_error, row.passed])
@@ -492,7 +488,7 @@ def suite_hardy_limit(cfg: RunConfig, out: Path) -> bool:
             total = sum(r.exceedance for r in rep.rows)
             verdicts.append(verdict("zero function: exceedance identically 0", 0.0, total, 0.0, total == 0.0))
     # variant dominance: conservative-min radii dominate both published constants
-    rates = members["x1"]
+    rates = members["x1"][1]
     cons = radius_schedule(rates, cfg.q_max, "conservative-min").radii
     for var in ("paper-133", "paper-step10"):
         other = radius_schedule(rates, cfg.q_max, var).radii

@@ -9,7 +9,7 @@ the boundary-limit experiments downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -302,17 +302,7 @@ def catalog(m: int = 2, with_rates: bool = True, rate_quad: SurfaceQuadrature | 
     add("poisson-slice", _slice_kernel(m), _slice_modulus(m))
 
     if with_rates:
-        members = [
-            HarmonicFn(
-                name=u.name,
-                dim=u.dim,
-                eval=u.eval,
-                modulus_of_continuity=u.modulus_of_continuity,
-                boundary_fn=u.boundary_fn,
-                hardy=estimate_rates(u, quad=rate_quad),
-            )
-            for u in members
-        ]
+        members = [replace(u, hardy=estimate_rates(u, quad=rate_quad)) for u in members]
     return members
 
 

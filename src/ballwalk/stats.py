@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -45,7 +46,9 @@ def mc_estimate(samples) -> McEstimate:
     mean = math.fsum(xs) / n
     if n == 1:
         return McEstimate(mean, 0.0, 1)
-    var = math.fsum((float(x) - mean) ** 2 for x in xs) / (n - 1)
+    # squared deviations in slices of 2^16, so no n-float list or array is held
+    blocks = (memoryview(np.square(xs[i : i + 2**16] - mean)) for i in range(0, n, 2**16))
+    var = math.fsum(chain.from_iterable(blocks)) / (n - 1)
     return McEstimate(mean, math.sqrt(var / n), n)
 
 
@@ -53,7 +56,8 @@ def ks_one_sample(samples, cdf: Callable) -> KsReport:
     """Sup-norm distance of the empirical CDF from ``cdf``, 5% verdict.
 
     Threshold 1.36 / sqrt(n); requires n >= 50 so the asymptotic threshold
-    is meaningful.
+    is meaningful.  ``cdf`` is called once on the sorted sample and must
+    return one value per point.
     """
     xs = np.sort(np.asarray(samples, dtype=float).ravel())
     n = int(xs.size)
@@ -61,7 +65,7 @@ def ks_one_sample(samples, cdf: Callable) -> KsReport:
         raise ValueError("one-sample KS needs n >= 50")
     f = np.asarray(cdf(xs), dtype=float)
     if f.shape != xs.shape:
-        f = np.array([float(cdf(x)) for x in xs])
+        raise ValueError(f"cdf returned shape {f.shape} for {xs.shape} points")
     grid = np.arange(1, n + 1) / n
     d = float(max(np.max(grid - f), np.max(f - (grid - 1.0 / n))))
     thr = KS_COEFF_5PCT / math.sqrt(n)

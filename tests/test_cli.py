@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -160,3 +162,18 @@ class TestStreams:
         assert set(SMALL_ARGS) == set(SUITES)
         shared = {key: sorted(suites) for key, suites in users.items() if len(suites) > 1}
         assert not shared
+
+
+class TestScripts:
+    def test_exit_time_study_runs(self):
+        root = Path(__file__).resolve().parents[1]
+        src = str(root / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        script = str(root / "scripts" / "exit_time_study.py")
+        proc = subprocess.run(
+            [sys.executable, script, "--dims", "2", "3", "--paths", "200", "--dt", "1e-2"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "m=2:" in proc.stdout and "m=3:" in proc.stdout
+        assert "engines z1 KS" in proc.stdout

@@ -34,6 +34,13 @@ class TestMcEstimate:
         assert a.mean == b.mean == c.mean
         assert a.std_error == b.std_error == c.std_error
 
+    def test_variance_matches_per_element_fsum(self):
+        # more than two 2^16 slices, the last one partial
+        xs = rng_stream(20260809, 103).normal(3.0, 2.0, size=150_000)
+        mean = math.fsum(xs) / xs.size
+        var = math.fsum((float(x) - mean) ** 2 for x in xs) / (xs.size - 1)
+        assert mc_estimate(xs).std_error == math.sqrt(var / xs.size)
+
 
 class TestKsOneSample:
     def test_seeded_uniform_sample_passes(self):
@@ -57,6 +64,18 @@ class TestKsOneSample:
     def test_small_sample_rejected(self):
         with pytest.raises(ValueError):
             ks_one_sample(np.zeros(49), lambda t: t)
+
+    def test_cdf_called_once_and_shape_checked(self):
+        xs = np.linspace(0.0, 1.0, 100)
+        calls = []
+
+        def scalar_cdf(t):
+            calls.append(np.shape(t))
+            return float(np.clip(np.max(t), 0.0, 1.0))
+
+        with pytest.raises(ValueError, match="shape"):
+            ks_one_sample(xs, scalar_cdf)
+        assert calls == [(100,)]
 
 
 class TestKsTwoSample:
