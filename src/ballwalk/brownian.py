@@ -27,7 +27,7 @@ import numpy as np
 from scipy import special
 
 from .sphere import uniform_sphere_sample
-from .stats import KsReport, McEstimate, ks_two_sample, mc_estimate
+from .stats import KsReport, McEstimate, binomial_se, ks_two_sample, mc_estimate
 from .streams import rng_stream
 
 CHUNK = 8192  # paths per rng stream; fixed so worker count cannot matter
@@ -368,8 +368,7 @@ def reflection_crossing_mc(
         return ~ex.censored
 
     p = float(np.mean(np.concatenate(run_chunks(n_paths, run, workers))))
-    se = math.sqrt(max(p * (1.0 - p), 1e-300) / n_paths)
-    return McEstimate(p, se, n_paths)
+    return McEstimate(p, binomial_se(p, n_paths), n_paths)
 
 
 @dataclass(frozen=True)
@@ -472,7 +471,7 @@ def exit_continuity_check(
     diffs = np.concatenate(run_chunks(n_paths, run, workers))
     n_done = diffs.size
     p = int(np.sum(diffs > exceed_thr)) / max(n_done, 1)
-    se = math.sqrt(max(p * (1.0 - p), 1e-300) / max(n_done, 1))
+    se = binomial_se(p, max(n_done, 1))
     bound = 2.0 ** (-kappa + 1)
     min_diff = float(np.min(diffs)) if n_done else math.inf
     return ContinuityReport(p, se, bound, exceed_thr, p <= bound + 3.0 * se, min_diff)

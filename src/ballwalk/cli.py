@@ -42,21 +42,10 @@ from .martingale import (
     sample_Y_skeleton,
 )
 from .sphere import SurfaceQuadrature, mc_surface_area, surface_area, surface_integral
-from .stats import ks_one_sample, ks_two_sample, mc_estimate
+from .stats import KsReport, binomial_se, ks_one_sample, ks_two_sample, mc_estimate
 from .streams import rng_stream
 
 EXIT_CONFIG_ERROR = 64
-
-SUITES = (
-    "constants",
-    "exit-dist",
-    "reflection",
-    "tightness",
-    "scaling",
-    "continuity",
-    "martingale",
-    "hardy-limit",
-)
 
 
 @dataclass(frozen=True)
@@ -95,13 +84,22 @@ class ConfigError(ValueError):
     pass
 
 
-_INT_KEYS = {"m", "n_paths", "seed", "q_max", "workers"}
-_FLOAT_KEYS = {"dt", "horizon", "r_trunc"}
-_STR_KEYS = {"variant", "out_dir"}
+# Each RunConfig field's type is the type of its default: it parses config-file
+# values and flag arguments alike.
+_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
+
+# command-line flag -> the RunConfig field it sets
+_FLAGS = {"--seed": "seed", "--out": "out_dir", "--paths": "n_paths", "--dt": "dt", "--variant": "variant",
+          "--q-max": "q_max", "--workers": "workers", "--m": "m", "--horizon": "horizon"}
+_HELP = {"out_dir": "output directory", "n_paths": "number of Monte Carlo paths"}
 
 
 def parse_config_file(path: str) -> dict:
-    """Line-based ``key=value`` file; '#' starts a comment; unknown keys error."""
+    """Line-based ``key=value`` file; '#' starts a comment; unknown keys error.
+
+    Keys are RunConfig field names; a value that does not parse as the
+    field's type raises ValueError.
+    """
     values: dict = {}
     for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -110,14 +108,9 @@ def parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{ln}: expected key=value, got {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key in _INT_KEYS:
-            values[key] = int(val)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(val)
-        elif key in _STR_KEYS:
-            values[key] = val
-        else:
+        if key not in _TYPES:
             raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
+        values[key] = _TYPES[key](val)
     return values
 
 
@@ -147,6 +140,30 @@ def verdict(claim: str, target, estimate, tolerance, passed) -> dict:
         "tolerance": None if tolerance is None else float(tolerance),
         "pass": bool(passed),
     }
+
+
+# The comparisons the suites apply.  Each derives ``pass`` from the numbers it
+# reports, so a verdict cannot contradict its own target, estimate and tolerance.
+
+
+def within(claim: str, target, estimate, tolerance) -> dict:
+    """Passes when |estimate - target| <= tolerance."""
+    return verdict(claim, target, estimate, tolerance, abs(estimate - target) <= tolerance)
+
+
+def at_most(claim: str, target, estimate, tolerance) -> dict:
+    """Passes when estimate <= tolerance: the tolerance is the ceiling."""
+    return verdict(claim, target, estimate, tolerance, estimate <= tolerance)
+
+
+def at_least(claim: str, target, estimate, tolerance) -> dict:
+    """Passes when estimate >= target - tolerance."""
+    return verdict(claim, target, estimate, tolerance, estimate >= target - tolerance)
+
+
+def ks_below(claim: str, ks: KsReport) -> dict:
+    """Passes when the KS statistic lies strictly below its threshold."""
+    return verdict(claim, 0.0, ks.statistic, ks.threshold, ks.statistic < ks.threshold)
 
 
 def write_suite(out_dir: Path, suite: str, cfg: RunConfig, columns, rows, verdicts) -> bool:
@@ -183,56 +200,32 @@ def suite_constants(cfg: RunConfig, out: Path) -> bool:
             est = mc.mean
             tolerance = max(5.0 * mc.std_error, 1e-12)
             claim = f"weighted-disc Monte Carlo reproduces sigma({m},1) within 5 se"
-        err = abs(est - closed)
-        rows.append([m, closed, est, err])
-        verdicts.append(verdict(claim, closed, est, tolerance, err <= tolerance))
+        rows.append([m, closed, est, abs(est - closed)])
+        verdicts.append(within(claim, closed, est, tolerance))
     # closed forms pinned to their independent expressions
     pinned = {2: 2 * math.pi, 3: 4 * math.pi, 4: 2 * math.pi**2, 5: 8 * math.pi**2 / 3}
     for m, val in pinned.items():
-        verdicts.append(
-            verdict(
-                f"sigma({m},1) closed form equals {val:.6f}...",
-                val,
-                surface_area(m, 1.0),
-                0.0 if m == 4 else 1e-12,
-                abs(surface_area(m, 1.0) - val) <= (0.0 if m == 4 else 1e-12),
-            )
-        )
+        claim = f"sigma({m},1) closed form equals {val:.6f}..."
+        verdicts.append(within(claim, val, surface_area(m, 1.0), 0.0 if m == 4 else 1e-12))
     return write_suite(out, "constants", cfg, ["m", "closed_form", "quadrature", "abs_err"], rows, verdicts)
 
 
 def suite_exit_dist(cfg: RunConfig, out: Path) -> bool:
-    verdicts = []
     # (a) centered start, m=3: first coordinate of discretized exit points is U[-1, 1]
     cfg3 = PathConfig(m=3, dt=cfg.dt, horizon=cfg.horizon, seed=cfg.seed, stream_id=10)
     taus, pts, cen = exit_points_batch(cfg3, np.zeros(3), 1.0, cfg.n_paths, workers=cfg.workers)
     z1 = pts[~cen, 0]
     ks = ks_one_sample(z1, lambda t: np.clip((t + 1.0) / 2.0, 0.0, 1.0))
-    verdicts.append(
-        verdict(
-            "m=3 centered exit: z1 is uniform on [-1,1] (KS at 5%)",
-            0.0,
-            ks.statistic,
-            ks.threshold,
-            ks.passed,
-        )
-    )
-    verdicts.append(
-        verdict("centered exit: censoring negligible at this horizon", 0.0, float(cen.mean()), 0.01, cen.mean() <= 0.01)
-    )
+    verdicts = [
+        ks_below("m=3 centered exit: z1 is uniform on [-1,1] (KS at 5%)", ks),
+        at_most("centered exit: censoring negligible at this horizon", 0.0, float(cen.mean()), 0.01),
+    ]
     # (b) off-center x=(0.5, 0), m=2: exact sampler has E z1 = 0.5
     rng = rng_stream(cfg.seed, 11)
     zw = wos_exit_points(rng, np.array([0.5, 0.0]), 1.0, 5 * cfg.n_paths)
     est = mc_estimate(zw[:, 0])
-    verdicts.append(
-        verdict(
-            "off-center exact exit: E z1 equals the harmonic extension value x1 = 0.5",
-            0.5,
-            est.mean,
-            3.0 * est.std_error,
-            abs(est.mean - 0.5) <= 3.0 * est.std_error,
-        )
-    )
+    claim = "off-center exact exit: E z1 equals the harmonic extension value x1 = 0.5"
+    verdicts.append(within(claim, 0.5, est.mean, 3.0 * est.std_error))
     # (c) engine agreement, m=2, x=(0.5, 0): two-sample KS on z1
     n_half = max(cfg.n_paths // 2, 50)
     cfg2 = PathConfig(m=2, dt=cfg.dt, horizon=cfg.horizon, seed=cfg.seed, stream_id=12)
@@ -240,15 +233,7 @@ def suite_exit_dist(cfg: RunConfig, out: Path) -> bool:
     rng2 = rng_stream(cfg.seed, 13)
     zw2 = wos_exit_points(rng2, np.array([0.5, 0.0]), 1.0, n_half)
     ks2 = ks_two_sample(pts2[~cen2, 0], zw2[:, 0])
-    verdicts.append(
-        verdict(
-            "discretized and exact exit engines sample the same z1 law (KS at 5%)",
-            0.0,
-            ks2.statistic,
-            ks2.threshold,
-            ks2.passed,
-        )
-    )
+    verdicts.append(ks_below("discretized and exact exit engines sample the same z1 law (KS at 5%)", ks2))
     # export one demo path trace as (t, x1..xm) rows
     event, trace = simulate_exit(
         PathConfig(m=2, dt=cfg.dt, horizon=cfg.horizon, seed=cfg.seed, stream_id=14),
@@ -269,31 +254,15 @@ def suite_exit_dist(cfg: RunConfig, out: Path) -> bool:
 
 def suite_reflection(cfg: RunConfig, out: Path) -> bool:
     target = reflection_prob(1.0, 1.0)
-    est = reflection_crossing_mc(
-        1.0, 1.0, cfg.dt, cfg.n_paths, cfg.seed, stream_id=20, workers=cfg.workers
-    )
-    err = abs(est.mean - target)
-    print(f"reflection: target {target:.5f}, estimate {est.mean:.5f} +- {est.std_error:.5f}")
-    vvs = [
-        verdict(
-            "P(sup_{s<=t} B_s >= lam) = 2 (1 - Phi(lam/sqrt(t))) at t=1, lam=1",
-            target,
-            est.mean,
-            0.005,
-            err <= 0.005,
-        )
-    ]
-    rows = [[1.0, 1.0, target, est.mean, est.std_error, err]]
-    return write_suite(
-        out, "reflection", cfg, ["t", "lam", "target", "estimate", "std_error", "abs_err"], rows, vvs
-    )
+    est = reflection_crossing_mc(1.0, 1.0, cfg.dt, cfg.n_paths, cfg.seed, stream_id=20, workers=cfg.workers)
+    claim = "P(sup_{s<=t} B_s >= lam) = 2 (1 - Phi(lam/sqrt(t))) at t=1, lam=1"
+    rows = [[1.0, 1.0, target, est.mean, est.std_error, abs(est.mean - target)]]
+    cols = ["t", "lam", "target", "estimate", "std_error", "abs_err"]
+    return write_suite(out, "reflection", cfg, cols, rows, [within(claim, target, est.mean, 0.005)])
 
 
 def suite_tightness(cfg: RunConfig, out: Path) -> bool:
-    print(f"tightness: N(2,1) = {tightness_N(2.0, 1)}")
-    verdicts = [
-        verdict("smallest N with 2 Phi(2/sqrt(N)) - 1 < 1/2 is 9", 9, tightness_N(2.0, 1), 0, tightness_N(2.0, 1) == 9)
-    ]
+    verdicts = [within("smallest N with 2 Phi(2/sqrt(N)) - 1 < 1/2 is 9", 9, tightness_N(2.0, 1), 0)]
     rows = []
     for k in (1, 2, 3):
         n_k = tightness_N(2.0, k)
@@ -301,42 +270,21 @@ def suite_tightness(cfg: RunConfig, out: Path) -> bool:
         pc = PathConfig(m=cfg.m, dt=cfg.dt, horizon=horizon, seed=cfg.seed, stream_id=30 + k)
         _, _, cen = exit_points_batch(pc, np.zeros(cfg.m), 1.0, cfg.n_paths, workers=cfg.workers)
         frac = float(cen.mean())
-        se = math.sqrt(max(frac * (1 - frac), 1e-300) / cfg.n_paths)
+        se = binomial_se(frac, cfg.n_paths)
         bound = 2.0 ** (-k + 1)
         rows.append([k, n_k, horizon, frac, se, bound])
-        verdicts.append(
-            verdict(
-                f"P(exit time > {horizon:g}) <= 2^(1-{k}) for the unit ball from 0",
-                bound,
-                frac,
-                bound + 3 * se,
-                frac <= bound + 3 * se,
-            )
-        )
+        claim = f"P(exit time > {horizon:g}) <= 2^(1-{k}) for the unit ball from 0"
+        verdicts.append(at_most(claim, bound, frac, bound + 3 * se))
     cols = ["k", "N_2k", "horizon", "censored_frac", "std_error", "bound"]
     return write_suite(out, "tightness", cfg, cols, rows, verdicts)
 
 
 def suite_scaling(cfg: RunConfig, out: Path) -> bool:
-    rep = scaling_check(
-        cfg.seed, 4.0, cfg.n_paths, dt=cfg.dt, m=cfg.m, horizon=cfg.horizon, workers=cfg.workers
-    )
-    print(f"scaling: KS {rep.ks.statistic:.4f} vs threshold {rep.ks.threshold:.4f} -> {'pass' if rep.ks.passed else 'fail'}")
+    rep = scaling_check(cfg.seed, 4.0, cfg.n_paths, dt=cfg.dt, m=cfg.m, horizon=cfg.horizon, workers=cfg.workers)
+    means = "their means agree within 3 combined standard errors"
     verdicts = [
-        verdict(
-            "exit times from radius 2 and 4x exit times from radius 1 share one law (KS at 5%)",
-            0.0,
-            rep.ks.statistic,
-            rep.ks.threshold,
-            rep.ks.passed,
-        ),
-        verdict(
-            "their means agree within 3 combined standard errors",
-            rep.mean_unit_scaled,
-            rep.mean_scaled,
-            3.0 * rep.mean_se,
-            abs(rep.mean_scaled - rep.mean_unit_scaled) <= 3.0 * rep.mean_se,
-        ),
+        ks_below("exit times from radius 2 and 4x exit times from radius 1 share one law (KS at 5%)", rep.ks),
+        within(means, rep.mean_unit_scaled, rep.mean_scaled, 3.0 * rep.mean_se),
     ]
     rows = [[4.0, rep.ks.statistic, rep.ks.threshold, rep.mean_scaled, rep.mean_unit_scaled, rep.censored]]
     cols = ["r", "ks_stat", "ks_threshold", "mean_sqrt_r", "mean_r_times_unit", "censored"]
@@ -349,15 +297,10 @@ def suite_continuity(cfg: RunConfig, out: Path) -> bool:
         cfg.seed, np.zeros(cfg.m), r1, r1 + gap, kappa, cfg.n_paths,
         dt=cfg.dt, horizon=cfg.horizon, stream_id=70, workers=cfg.workers,
     )
+    claim = "P(tau'' - tau' > 2^(4-kappa)) <= 2^(1-kappa) for nested balls (kappa=2)"
     verdicts = [
-        verdict(
-            "P(tau'' - tau' > 2^(4-kappa)) <= 2^(1-kappa) for nested balls (kappa=2)",
-            rep.bound,
-            rep.exceedance,
-            rep.bound + 3 * rep.exceedance_se,
-            rep.passed,
-        ),
-        verdict("tau'' >= tau' pathwise", 0.0, rep.min_diff, 0.0, rep.min_diff >= 0.0),
+        at_most(claim, rep.bound, rep.exceedance, rep.bound + 3 * rep.exceedance_se),
+        at_least("tau'' >= tau' pathwise", 0.0, rep.min_diff, 0.0),
     ]
     rows = [[kappa, r1, r1 + gap, rep.exceedance, rep.exceedance_se, rep.bound, rep.gap_bound, rep.min_diff]]
     cols = ["kappa", "r1", "r2", "exceedance", "std_error", "prob_bound", "gap_bound", "min_diff"]
@@ -375,22 +318,12 @@ def suite_martingale(cfg: RunConfig, out: Path) -> bool:
     verdicts.append(verdict("0 <= lambda_bar(v) <= |v|", 0.0, float(np.max(lb - np.abs(v))), 0.0, ok_bounds))
     h = 1e-2
     second = lambda_bar(v - h) - 2.0 * lambda_bar(v) + lambda_bar(v + h)
-    verdicts.append(
-        verdict(
-            "lambda_bar is convex (second differences >= -1e-12)",
-            0.0,
-            float(np.min(second)),
-            1e-12,
-            bool(np.min(second) >= -1e-12),
-        )
-    )
+    verdicts.append(at_least("lambda_bar is convex (second differences >= -1e-12)", 0.0, float(np.min(second)), 1e-12))
     branch_gap = max(
         abs(lambda_bar_series(1e-4) - lambda_bar_closed(1e-4)),
         abs(lambda_bar_series(-1e-4) - lambda_bar_closed(-1e-4)),
     )
-    verdicts.append(
-        verdict("series and closed-form branches agree at the 1e-4 switchover", 0.0, branch_gap, 1e-16, branch_gap <= 1e-16)
-    )
+    verdicts.append(at_most("series and closed-form branches agree at the 1e-4 switchover", 0.0, branch_gap, 1e-16))
     # fair-coin counterexample: premise must fail
     coin = MartingaleSample(np.array([0.0, 1.0]), np.array([[0.0, 1.0], [0.0, -1.0]] * 500))
     coin_rep = maximal_inequality_check(coin, 0.5)
@@ -466,15 +399,8 @@ def suite_hardy_limit(cfg: RunConfig, out: Path) -> bool:
         )
         for row in rep.rows:
             rows.append([name, row.q, row.radius, row.bound, row.exceedance, row.std_error, row.passed])
-            verdicts.append(
-                verdict(
-                    f"{name}: P(sup over [tau(r_{row.q}), tau(r_trunc)) of |V - u(B_s)| > 2^(3-{row.q})) <= 2^(4-{row.q})",
-                    row.bound,
-                    row.exceedance,
-                    row.bound + 3 * row.std_error,
-                    row.passed,
-                )
-            )
+            claim = f"{name}: P(sup over [tau(r_{row.q}), tau(r_trunc)) of |V - u(B_s)| > 2^(3-{row.q})) <= 2^(4-{row.q})"
+            verdicts.append(at_most(claim, row.bound, row.exceedance, row.bound + 3 * row.std_error))
         verdicts.append(
             verdict(
                 f"{name}: censoring within the tightness allowance",
@@ -486,7 +412,7 @@ def suite_hardy_limit(cfg: RunConfig, out: Path) -> bool:
         )
         if name == "zero":
             total = sum(r.exceedance for r in rep.rows)
-            verdicts.append(verdict("zero function: exceedance identically 0", 0.0, total, 0.0, total == 0.0))
+            verdicts.append(within("zero function: exceedance identically 0", 0.0, total, 0.0))
     # variant dominance: conservative-min radii dominate both published constants
     rates = members["x1"][1]
     cons = radius_schedule(rates, cfg.q_max, "conservative-min").radii
@@ -525,6 +451,7 @@ _RUNNERS = {
     "martingale": suite_martingale,
     "hardy-limit": suite_hardy_limit,
 }
+SUITES = tuple(_RUNNERS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -533,34 +460,17 @@ def build_parser() -> argparse.ArgumentParser:
     for name in (*SUITES, "report"):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--paths", type=int, default=None, help="number of Monte Carlo paths")
-        p.add_argument("--dt", type=float, default=None)
-        p.add_argument("--variant", default=None, choices=VARIANTS)
-        p.add_argument("--q-max", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--m", type=int, default=None)
-        p.add_argument("--horizon", type=float, default=None)
+        for flag, key in _FLAGS.items():
+            choices = VARIANTS if key == "variant" else None
+            p.add_argument(flag, dest=key, type=_TYPES[key], default=None, choices=choices, help=_HELP.get(key))
     return ap
 
 
 def load_config(args) -> RunConfig:
-    values = {}
-    if args.config:
-        values.update(parse_config_file(args.config))
-    overrides = {
-        "seed": args.seed,
-        "out_dir": args.out,
-        "n_paths": args.paths,
-        "dt": args.dt,
-        "variant": args.variant,
-        "q_max": args.q_max,
-        "workers": args.workers,
-        "m": args.m,
-        "horizon": args.horizon,
-    }
-    values.update({k: v for k, v in overrides.items() if v is not None})
+    values = parse_config_file(args.config) if args.config else {}
+    for key in _FLAGS.values():
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
     cfg = RunConfig(**values)
     cfg.validate()
     return cfg
@@ -570,7 +480,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     out = Path(cfg.out_dir)

@@ -21,6 +21,7 @@ import numpy as np
 from .brownian import PathConfig, euler_chunk, exit_points, run_chunks, tightness_N
 from .harmonic import HarmonicFn, RateData
 from .sphere import eval_on_points
+from .stats import binomial_se
 from .streams import rng_stream
 
 VARIANTS = ("paper-133", "paper-step10", "conservative-min")
@@ -182,7 +183,7 @@ def limit_experiment(
         thr = 2.0 ** (-(j + 1) + 3)
         devs = sup_dev[~censored, j]
         p = float(np.mean(devs > thr)) if n_ok else 1.0
-        se = math.sqrt(max(p * (1.0 - p), 1e-300) / max(n_ok, 1))
+        se = binomial_se(p, max(n_ok, 1))
         ok = p <= bound + 3.0 * se
         all_pass &= ok
         rows.append(LimitRow(j + 1, float(radii[j]), bound, p, se, ok))
@@ -193,7 +194,7 @@ def limit_experiment(
         k += 1
     allowance = 2.0 ** (-k + 1)
     cen_frac = n_cen / n_paths
-    cen_se = math.sqrt(max(cen_frac * (1 - cen_frac), 1e-300) / n_paths)
+    cen_se = binomial_se(cen_frac, n_paths)
     cen_ok = cen_frac <= allowance + 3.0 * cen_se
     gap = float(np.max(trunc_gap)) if u.boundary_fn is not None and n_ok else None
     return LimitReport(

@@ -148,6 +148,12 @@ def hardy_integrals(u, r: float, quad: SurfaceQuadrature) -> tuple[float, float,
     return i1, i2, i3
 
 
+def hardy_table(u, grid, quad: SurfaceQuadrature) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(I1, I2, I3) as three arrays over the radii of ``grid``."""
+    table = np.array([hardy_integrals(u, float(r), quad) for r in grid], dtype=float).reshape(-1, 3)
+    return tuple(np.ascontiguousarray(table.T))
+
+
 DEFAULT_RATE_GRID = np.concatenate([np.linspace(0.1, 0.98, 23), [0.985, 0.99]])
 
 
@@ -179,11 +185,7 @@ def estimate_rates(
     grid = np.asarray(DEFAULT_RATE_GRID if r_grid is None else r_grid, dtype=float)
     if grid.size < 2 or np.any(np.diff(grid) <= 0) or grid[0] <= 0 or grid[-1] >= 1:
         raise ValueError("r_grid must be increasing inside (0, 1) with >= 2 points")
-    i1 = np.empty(grid.size)
-    i2 = np.empty(grid.size)
-    i3 = np.empty(grid.size)
-    for j, r in enumerate(grid):
-        i1[j], i2[j], i3[j] = hardy_integrals(u, float(r), quad)
+    i1, i2, i3 = hardy_table(u, grid, quad)
     for name, vals in (("I1", i1), ("I3", i3)):
         worst = float(np.min(np.diff(vals))) if vals.size > 1 else 0.0
         if worst < -tol.QUAD_MONOTONE_TOL:
@@ -256,7 +258,7 @@ def _lipschitz_modulus(lip: float) -> Callable[[float, float], float]:
     return lambda r, eps: eps / lip
 
 
-def catalog(m: int = 2, with_rates: bool = True, rate_quad: SurfaceQuadrature | None = None):
+def catalog(m: int = 2, with_rates: bool = True):
     """Harmonic test functions for dimension m.
 
     Always includes the coordinate functions and the Poisson-kernel slice
@@ -302,21 +304,16 @@ def catalog(m: int = 2, with_rates: bool = True, rate_quad: SurfaceQuadrature | 
     add("poisson-slice", _slice_kernel(m), _slice_modulus(m))
 
     if with_rates:
-        members = [replace(u, hardy=estimate_rates(u, quad=rate_quad)) for u in members]
+        members = [replace(u, hardy=estimate_rates(u)) for u in members]
     return members
 
 
 def zero_fn(m: int) -> HarmonicFn:
     """The zero function with exact rate data (limits 0 and 1)."""
-    rates = estimate_rates(
-        HarmonicFn("0", m, lambda x: np.zeros(np.asarray(x).shape[:-1]), _lipschitz_modulus(1.0)),
-        quad=SurfaceQuadrature(m, 1.0, "chart-gauss", 64) if m in (2, 3) else None,
-    )
-    return HarmonicFn(
-        name="0",
-        dim=m,
-        eval=lambda x: np.zeros(np.asarray(x).shape[:-1]),
-        modulus_of_continuity=_lipschitz_modulus(1.0),
-        boundary_fn=lambda x: np.zeros(np.asarray(x).shape[:-1]),
-        hardy=rates,
-    )
+
+    def zero(x):
+        return np.zeros(np.asarray(x).shape[:-1])
+
+    u = HarmonicFn("0", m, zero, _lipschitz_modulus(1.0), boundary_fn=zero)
+    quad = SurfaceQuadrature(m, 1.0, "chart-gauss", 64) if m in (2, 3) else None
+    return replace(u, hardy=estimate_rates(u, quad=quad))

@@ -15,9 +15,9 @@ import numpy as np
 
 from . import tolerances as tol
 from .brownian import wos_from_many
-from .harmonic import HarmonicFn, hardy_integrals
+from .harmonic import HarmonicFn, hardy_table
 from .sphere import SurfaceQuadrature, eval_on_points
-from .stats import mc_estimate
+from .stats import binomial_se, mc_estimate
 
 _SERIES_CUTOFF = 1e-4
 
@@ -112,7 +112,7 @@ def maximal_inequality_check(z: MartingaleSample, eps: float) -> MaximalInequali
     premise = (lhs_est.mean + 3.0 * lhs_est.std_error) < rhs
     dev = np.max(np.abs(vals - z0[:, None]), axis=1)
     exc = float(np.mean(dev > eps))
-    exc_se = math.sqrt(max(exc * (1.0 - exc), 1e-300) / z.n_paths)
+    exc_se = binomial_se(exc, z.n_paths)
     passed = (exc < eps + 3.0 * exc_se) if premise else None
     return MaximalInequalityReport(
         premise_holds=premise,
@@ -170,11 +170,7 @@ def monotonicity_report(u: HarmonicFn, r_grid, quad: SurfaceQuadrature) -> Monot
     grid = np.asarray(r_grid, dtype=float)
     if np.any(np.diff(grid) <= 0) or grid[0] <= 0.0 or grid[-1] >= 1.0:
         raise ValueError("r_grid must be increasing inside (0, 1)")
-    i1 = np.empty(grid.size)
-    i2 = np.empty(grid.size)
-    i3 = np.empty(grid.size)
-    for j, r in enumerate(grid):
-        i1[j], i2[j], i3[j] = hardy_integrals(u, float(r), quad)
+    i1, i2, i3 = hardy_table(u, grid, quad)
     down = 0.0
     i2_down = 0.0
     if grid.size > 1:

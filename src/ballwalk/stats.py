@@ -52,6 +52,15 @@ def mc_estimate(samples) -> McEstimate:
     return McEstimate(mean, math.sqrt(var / n), n)
 
 
+def binomial_se(p: float, n) -> float:
+    """Standard error sqrt(p (1 - p) / n) of a proportion p over n trials.
+
+    The variance is floored at 1e-300, so a proportion of exactly 0 or 1
+    still gets a positive standard error.
+    """
+    return math.sqrt(max(p * (1.0 - p), 1e-300) / n)
+
+
 def ks_one_sample(samples, cdf: Callable) -> KsReport:
     """Sup-norm distance of the empirical CDF from ``cdf``, 5% verdict.
 

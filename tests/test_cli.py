@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,9 +13,14 @@ from ballwalk.cli import (
     SUITES,
     ConfigError,
     RunConfig,
+    at_least,
+    at_most,
+    ks_below,
     main,
     parse_config_file,
+    within,
 )
+from ballwalk.stats import KsReport
 from ballwalk.streams import rng_stream
 
 
@@ -50,6 +57,13 @@ class TestConfigFile:
         p.write_text("dt=-0.5\n")
         assert run_cli("constants", "--config", str(p)) == EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize("line", ["m=2.5", "dt=abc"])
+    def test_value_of_wrong_type_exits_64(self, tmp_path, line):
+        # each key parses as the type of its RunConfig default
+        p = tmp_path / "run.cfg"
+        p.write_text(line + "\n")
+        assert run_cli("constants", "--config", str(p), "--out", str(tmp_path)) == EXIT_CONFIG_ERROR
+
     def test_flag_overrides_file(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("seed=1\nout_dir=%s\n" % (tmp_path / "a"))
@@ -69,6 +83,36 @@ class TestConfigFile:
             RunConfig(r_trunc=1.5).validate()
         with pytest.raises(ConfigError):
             RunConfig(variant="x").validate()
+
+
+class TestVerdictHelpers:
+    def test_inclusive_comparisons_pass_at_equality(self):
+        assert within("c", 1.0, 1.5, 0.5)["pass"] is True
+        assert at_most("c", 0.0, 0.25, 0.25)["pass"] is True
+        assert at_least("c", 1.0, 0.75, 0.25)["pass"] is True
+
+    def test_comparisons_fail_past_the_bound(self):
+        assert within("c", 1.0, 0.25, 0.5)["pass"] is False
+        assert at_most("c", 0.0, 0.5, 0.25)["pass"] is False
+        assert at_least("c", 1.0, 0.5, 0.25)["pass"] is False
+        assert ks_below("c", KsReport(0.3, 0.2, True, 100))["pass"] is False
+
+    def test_ks_fails_at_equality(self):
+        v = ks_below("c", KsReport(0.2, 0.2, True, 100))
+        assert v["pass"] is False
+        assert (v["target"], v["estimate"], v["tolerance"]) == (0.0, 0.2, 0.2)
+        assert ks_below("c", KsReport(0.1, 0.2, False, 100))["pass"] is True
+
+    def test_nan_estimate_fails_every_helper(self):
+        nan = math.nan
+        assert within("c", 0.0, nan, 1.0)["pass"] is False
+        assert at_most("c", 0.0, nan, 1.0)["pass"] is False
+        assert at_least("c", 0.0, nan, 1.0)["pass"] is False
+        assert ks_below("c", KsReport(nan, 1.0, True, 100))["pass"] is False
+
+    def test_reported_numbers_are_the_compared_ones(self):
+        v = within("claim", 9, 9, 0)
+        assert v == {"claim": "claim", "target": 9.0, "estimate": 9.0, "tolerance": 0.0, "pass": True}
 
 
 class TestConstantsSuite:
@@ -177,3 +221,38 @@ class TestScripts:
         assert proc.returncode == 0, proc.stderr
         assert "m=2:" in proc.stdout and "m=3:" in proc.stdout
         assert "engines z1 KS" in proc.stdout
+
+
+class TestGoldenOutputs:
+    """Every suite output at SMALL_ARGS and seed 20260809, pinned by sha256.
+
+    Recorded with numpy 2.4.6 and scipy 1.17.1.  A change that alters the
+    random draws or the arithmetic on purpose updates these digests and says
+    so in CHANGES.md.
+    """
+
+    DIGESTS = {
+        "constants.csv": "2dbfa9fefda8e0cb1df9f55783c292056e1350048fc2a5f34ef4bed17a471563",
+        "constants.json": "571eb2f72a0b03d518671cbb3c48266438db2319a1da0c01243e0508987cebfd",
+        "continuity.csv": "8bfd2ab34f4019c80cb8b8abf9312ab0af9488f35a87a92824edbe2c4df67d65",
+        "continuity.json": "dfe78f34281dc07f75b70f6dddfe4e217e08650f8a44a548719d87c3f5face6d",
+        "exit-dist-trace.csv": "781919ffa4f740faf21da0bbb959fcaf3d766f69306f66da3dc0117ae3f7b2de",
+        "exit-dist.csv": "1a7251cee74b12b9c1d56affc3ca9ca30b7071455d04a6668419372cd5e7cc92",
+        "exit-dist.json": "396ca7ac7a99021d293511163bd173471d9c80ec5f62c814961cf6143dcef5fd",
+        "hardy-limit.csv": "d1b49d9d31fbd9646817d5606f43069f7bd3e20e3d5321e3b489c43d7a192b87",
+        "hardy-limit.json": "a953a77b5fbdc71124e4eef9d13913240271eddb06042a33dc080f29df1a515a",
+        "martingale.csv": "aa03e88268894c2cabc404fdf1f8654520cb4ce646258ffc6dda83c2d31090c3",
+        "martingale.json": "49a9c887d62b6c05e1a3144f99fd8c9943668b8e78aff1ed76406dabbdb61225",
+        "reflection.csv": "3f94f20a88d6d93aa79bce42e70b5f4f52cb24c0ebdfa073e3cab76e0bc7bae8",
+        "reflection.json": "6837ae5bdaf30e9018ca6cebd7b268708bca1d29d58a8fa3c1f0a5d2923c242a",
+        "scaling.csv": "7dc1cd7d3cb9a18a4dcea941ee778d648b22a5be037a8c789d6a0bfa7f07068c",
+        "scaling.json": "f13c9f97e4aa3ed9a77b0d97d871a432f4980049a0b289135a0e8c9f5c1d332f",
+        "tightness.csv": "0eca15aba1cb5eeb4e4dd29f394925ddc178944eeb5548119c0fea577909ff76",
+        "tightness.json": "888d3b51860e89d948499fab1dbf7a5a1a51aeeb55efd295c31cf8bc769d6d5e",
+    }
+
+    def test_outputs_match_recorded_digests(self, tmp_path):
+        for suite in SUITES:
+            assert run_cli(suite, "--out", str(tmp_path), "--seed", "20260809", *SMALL_ARGS[suite]) in (0, 1)
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert got == self.DIGESTS

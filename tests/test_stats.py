@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballwalk.stats import ks_one_sample, ks_two_sample, mc_estimate
+from ballwalk.stats import binomial_se, ks_one_sample, ks_two_sample, mc_estimate
 from ballwalk.streams import rng_stream
 
 
@@ -40,6 +40,18 @@ class TestMcEstimate:
         mean = math.fsum(xs) / xs.size
         var = math.fsum((float(x) - mean) ** 2 for x in xs) / (xs.size - 1)
         assert mc_estimate(xs).std_error == math.sqrt(var / xs.size)
+
+
+class TestBinomialSe:
+    @given(st.integers(0, 1000), st.integers(1, 1000))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_inline_form(self, hits, n):
+        p = min(hits, n) / n
+        assert binomial_se(p, n) == math.sqrt(max(p * (1 - p), 1e-300) / n)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_floored_at_certain_outcomes(self, p):
+        assert binomial_se(p, 100) == math.sqrt(1e-300 / 100) > 0.0
 
 
 class TestKsOneSample:
