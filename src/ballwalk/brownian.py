@@ -24,7 +24,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .sphere import uniform_sphere_sample
 from .stats import KsReport, McEstimate, binomial_se, ks_two_sample, mc_estimate
@@ -35,6 +34,7 @@ CHUNK = 8192  # paths per rng stream; fixed so worker count cannot matter
 
 def normal_cdf(x):
     """Standard normal CDF Phi, elementwise."""
+    from scipy import special  # imported on first use: scipy is slow to load
     return special.ndtr(x)
 
 
@@ -65,6 +65,7 @@ def tightness_N(r_tilde: float, k: int) -> int:
 
     if target >= 1.0:
         return 1
+    from scipy import special
     x = float(special.ndtri((1.0 + target) / 2.0))
     n = max(1, int((r_tilde / x) ** 2) + 1)
     while not ok(n):

@@ -47,6 +47,16 @@ from .streams import rng_stream
 
 EXIT_CONFIG_ERROR = 64
 
+# Random stream ids of the suites, each a range: tightness keys 30 + k for k = 1..3, hardy-limit
+# 50 + i for its i-th member.  perfbench/child.py keys streams 42 and 60 of its own.
+STREAMS = {
+    "exit-dist/centered": range(10, 11), "exit-dist/off-center": range(11, 12),
+    "exit-dist/euler": range(12, 13), "exit-dist/exact": range(13, 14),
+    "exit-dist/trace": range(14, 15), "reflection": range(20, 21), "tightness": range(31, 34),
+    "martingale/lambda-bar": range(40, 41), "martingale/skeleton": range(41, 42),
+    "hardy-limit": range(50, 53), "continuity": range(70, 71),
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -212,7 +222,7 @@ def suite_constants(cfg: RunConfig, out: Path) -> bool:
 
 def suite_exit_dist(cfg: RunConfig, out: Path) -> bool:
     # (a) centered start, m=3: first coordinate of discretized exit points is U[-1, 1]
-    cfg3 = PathConfig(m=3, dt=cfg.dt, horizon=cfg.horizon, seed=cfg.seed, stream_id=10)
+    cfg3 = PathConfig(m=3, dt=cfg.dt, horizon=cfg.horizon, seed=cfg.seed, stream_id=STREAMS["exit-dist/centered"][0])
     taus, pts, cen = exit_points_batch(cfg3, np.zeros(3), 1.0, cfg.n_paths, workers=cfg.workers)
     z1 = pts[~cen, 0]
     ks = ks_one_sample(z1, lambda t: np.clip((t + 1.0) / 2.0, 0.0, 1.0))
@@ -221,25 +231,22 @@ def suite_exit_dist(cfg: RunConfig, out: Path) -> bool:
         at_most("centered exit: censoring negligible at this horizon", 0.0, float(cen.mean()), 0.01),
     ]
     # (b) off-center x=(0.5, 0), m=2: exact sampler has E z1 = 0.5
-    rng = rng_stream(cfg.seed, 11)
+    rng = rng_stream(cfg.seed, STREAMS["exit-dist/off-center"][0])
     zw = wos_exit_points(rng, np.array([0.5, 0.0]), 1.0, 5 * cfg.n_paths)
     est = mc_estimate(zw[:, 0])
     claim = "off-center exact exit: E z1 equals the harmonic extension value x1 = 0.5"
     verdicts.append(within(claim, 0.5, est.mean, 3.0 * est.std_error))
     # (c) engine agreement, m=2, x=(0.5, 0): two-sample KS on z1
     n_half = max(cfg.n_paths // 2, 50)
-    cfg2 = PathConfig(m=2, dt=cfg.dt, horizon=cfg.horizon, seed=cfg.seed, stream_id=12)
+    cfg2 = PathConfig(m=2, dt=cfg.dt, horizon=cfg.horizon, seed=cfg.seed, stream_id=STREAMS["exit-dist/euler"][0])
     _, pts2, cen2 = exit_points_batch(cfg2, np.array([0.5, 0.0]), 1.0, n_half, workers=cfg.workers)
-    rng2 = rng_stream(cfg.seed, 13)
+    rng2 = rng_stream(cfg.seed, STREAMS["exit-dist/exact"][0])
     zw2 = wos_exit_points(rng2, np.array([0.5, 0.0]), 1.0, n_half)
     ks2 = ks_two_sample(pts2[~cen2, 0], zw2[:, 0])
     verdicts.append(ks_below("discretized and exact exit engines sample the same z1 law (KS at 5%)", ks2))
     # export one demo path trace as (t, x1..xm) rows
-    event, trace = simulate_exit(
-        PathConfig(m=2, dt=cfg.dt, horizon=cfg.horizon, seed=cfg.seed, stream_id=14),
-        np.zeros(2),
-        1.0,
-    )
+    pc = PathConfig(m=2, dt=cfg.dt, horizon=cfg.horizon, seed=cfg.seed, stream_id=STREAMS["exit-dist/trace"][0])
+    event, trace = simulate_exit(pc, np.zeros(2), 1.0)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(
         out / "exit-dist-trace.csv",
@@ -254,7 +261,7 @@ def suite_exit_dist(cfg: RunConfig, out: Path) -> bool:
 
 def suite_reflection(cfg: RunConfig, out: Path) -> bool:
     target = reflection_prob(1.0, 1.0)
-    est = reflection_crossing_mc(1.0, 1.0, cfg.dt, cfg.n_paths, cfg.seed, stream_id=20, workers=cfg.workers)
+    est = reflection_crossing_mc(1.0, 1.0, cfg.dt, cfg.n_paths, cfg.seed, STREAMS["reflection"][0], cfg.workers)
     claim = "P(sup_{s<=t} B_s >= lam) = 2 (1 - Phi(lam/sqrt(t))) at t=1, lam=1"
     rows = [[1.0, 1.0, target, est.mean, est.std_error, abs(est.mean - target)]]
     cols = ["t", "lam", "target", "estimate", "std_error", "abs_err"]
@@ -267,7 +274,7 @@ def suite_tightness(cfg: RunConfig, out: Path) -> bool:
     for k in (1, 2, 3):
         n_k = tightness_N(2.0, k)
         horizon = n_k + 1.0
-        pc = PathConfig(m=cfg.m, dt=cfg.dt, horizon=horizon, seed=cfg.seed, stream_id=30 + k)
+        pc = PathConfig(m=cfg.m, dt=cfg.dt, horizon=horizon, seed=cfg.seed, stream_id=STREAMS["tightness"][k - 1])
         _, _, cen = exit_points_batch(pc, np.zeros(cfg.m), 1.0, cfg.n_paths, workers=cfg.workers)
         frac = float(cen.mean())
         se = binomial_se(frac, cfg.n_paths)
@@ -295,7 +302,7 @@ def suite_continuity(cfg: RunConfig, out: Path) -> bool:
     kappa, r1, gap = 2, 0.9, 0.045
     rep = exit_continuity_check(
         cfg.seed, np.zeros(cfg.m), r1, r1 + gap, kappa, cfg.n_paths,
-        dt=cfg.dt, horizon=cfg.horizon, stream_id=70, workers=cfg.workers,
+        dt=cfg.dt, horizon=cfg.horizon, stream_id=STREAMS["continuity"][0], workers=cfg.workers,
     )
     claim = "P(tau'' - tau' > 2^(4-kappa)) <= 2^(1-kappa) for nested balls (kappa=2)"
     verdicts = [
@@ -311,7 +318,7 @@ def suite_martingale(cfg: RunConfig, out: Path) -> bool:
     verdicts = []
     rows = []
     # lambda_bar property suite
-    rng = rng_stream(cfg.seed, 40)
+    rng = rng_stream(cfg.seed, STREAMS["martingale/lambda-bar"][0])
     v = rng.uniform(-10.0, 10.0, size=10_000)
     lb = lambda_bar(v)
     ok_bounds = bool(np.all(lb >= 0.0) and np.all(lb <= np.abs(v)))
@@ -338,7 +345,7 @@ def suite_martingale(cfg: RunConfig, out: Path) -> bool:
     )
     # Y skeleton of x1 between 0.90 and 0.91, premise-verified eps
     u = catalog(2, with_rates=False)[0]
-    rng = rng_stream(cfg.seed, 41)
+    rng = rng_stream(cfg.seed, STREAMS["martingale/skeleton"][0])
     sk = sample_Y_skeleton(rng, u, np.array([0.90, 0.91]), cfg.n_paths)
     eps_used, rep = None, None
     for eps in (0.3, 0.4, 0.5, 0.7, 1.0, 1.5, 2.0):
@@ -391,11 +398,11 @@ def suite_hardy_limit(cfg: RunConfig, out: Path) -> bool:
         "poisson-slice": (cat[-1], estimate_rates(cat[-1], quad=slice_quad)),
         "zero": (zero, zero.hardy),
     }
-    pc = PathConfig(m=2, dt=cfg.dt, horizon=cfg.horizon, seed=cfg.seed, stream_id=50)
+    pc = PathConfig(m=2, dt=cfg.dt, horizon=cfg.horizon, seed=cfg.seed)
     for i, (name, (fn, rates)) in enumerate(members.items()):
         sched = radius_schedule(rates, cfg.q_max, cfg.variant)
         rep = limit_experiment(
-            fn, sched, replace(pc, stream_id=50 + i), cfg.n_paths, cfg.r_trunc, workers=cfg.workers
+            fn, sched, replace(pc, stream_id=STREAMS["hardy-limit"][i]), cfg.n_paths, cfg.r_trunc, workers=cfg.workers
         )
         for row in rep.rows:
             rows.append([name, row.q, row.radius, row.bound, row.exceedance, row.std_error, row.passed])

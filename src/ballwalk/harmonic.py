@@ -128,30 +128,31 @@ def laplacian_fd(u, x, h: float = tol.FD_STEP) -> float:
 
 
 def hardy_integrals(u, r: float, quad: SurfaceQuadrature) -> tuple[float, float, float]:
-    """(I1, I2, I3) at radius r: the sphere averages of |u(r z)|, e^{-|u(r z)|},
-    and e^{-|u(r z)|} - 1 + |u(r z)|.
-
-    All three use the same normalized nodes, so I3 = I2 - 1 + I1 holds to
-    roundoff by construction.
-    """
-    if not 0.0 < r < 1.0:
-        raise ValueError("r must lie in (0, 1)")
-    if abs(quad.r - 1.0) > 1e-15:
-        raise ValueError("hardy_integrals expects a unit-sphere quadrature")
-    f = _as_eval(u)
-    pts, w = quad_nodes(quad)
-    w = w / np.sum(w)
-    a = np.abs(eval_on_points(f, r * pts))
-    i1 = float(np.dot(w, a))
-    i2 = 1.0 + float(np.dot(w, np.expm1(-a)))  # expm1 keeps u = 0 at exactly 1
-    i3 = float(np.dot(w, np.expm1(-a) + a))
-    return i1, i2, i3
+    """(I1, I2, I3) at radius r: one row of ``hardy_table``, with its errors."""
+    i1, i2, i3 = hardy_table(u, [r], quad)
+    return float(i1[0]), float(i2[0]), float(i3[0])
 
 
 def hardy_table(u, grid, quad: SurfaceQuadrature) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(I1, I2, I3) as three arrays over the radii of ``grid``."""
-    table = np.array([hardy_integrals(u, float(r), quad) for r in grid], dtype=float).reshape(-1, 3)
-    return tuple(np.ascontiguousarray(table.T))
+    """(I1, I2, I3) over the radii of ``grid``: the sphere averages of
+    |u(r z)|, e^{-|u(r z)|} and e^{-|u(r z)|} - 1 + |u(r z)|, as three arrays
+    from one rule built once, so I3 = I2 - 1 + I1 holds to roundoff.  Raises
+    ValueError for a radius outside (0, 1) or a rule off the unit sphere.
+    """
+    radii = [float(r) for r in grid]
+    if not all(0.0 < r < 1.0 for r in radii):
+        raise ValueError("r must lie in (0, 1)")
+    if abs(quad.r - 1.0) > 1e-15:
+        raise ValueError("the Hardy integrals need a unit-sphere quadrature")
+    f = _as_eval(u)
+    pts, w = quad_nodes(quad)
+    w = w / np.sum(w)
+    table = np.empty((3, len(radii)))
+    for j, r in enumerate(radii):
+        a = np.abs(eval_on_points(f, r * pts))
+        e = np.expm1(-a)  # expm1 keeps u = 0 at exactly I2 = 1
+        table[:, j] = np.dot(w, a), 1.0 + np.dot(w, e), np.dot(w, e + a)
+    return tuple(table)
 
 
 DEFAULT_RATE_GRID = np.concatenate([np.linspace(0.1, 0.98, 23), [0.985, 0.99]])

@@ -10,6 +10,7 @@ import pytest
 
 from ballwalk.cli import (
     EXIT_CONFIG_ERROR,
+    STREAMS,
     SUITES,
     ConfigError,
     RunConfig,
@@ -206,6 +207,30 @@ class TestStreams:
         assert set(SMALL_ARGS) == set(SUITES)
         shared = {key: sorted(suites) for key, suites in users.items() if len(suites) > 1}
         assert not shared
+
+    def test_stream_ranges_never_overlap(self):
+        ids = [i for ids in STREAMS.values() for i in ids]
+        assert len(ids) == len(set(ids))
+        assert not {42, 60} & set(ids)  # keyed by perfbench/child.py
+
+
+class TestImportPath:
+    def test_cli_import_loads_no_scipy(self):
+        from scipy import special
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = (
+            "import sys, ballwalk, ballwalk.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "from ballwalk.brownian import reflection_prob, tightness_N\n"
+            "print(reflection_prob(1, 1).hex(), tightness_N(2.0, 1))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        loaded, values = proc.stdout.splitlines()
+        assert loaded == "[]"
+        assert values == f"{float(2.0 * special.ndtr(-1.0)).hex()} 9"
 
 
 class TestScripts:

@@ -11,13 +11,15 @@ from ballwalk.harmonic import (
     catalog,
     estimate_rates,
     hardy_integrals,
+    hardy_table,
     laplacian_fd,
     mean_value_residual,
     poisson_extend,
     poisson_kernel,
     zero_fn,
 )
-from ballwalk.sphere import SurfaceQuadrature, surface_area, surface_integral, uniform_sphere_sample
+from ballwalk import harmonic
+from ballwalk.sphere import SurfaceQuadrature, quad_nodes, surface_area, surface_integral, uniform_sphere_sample
 from ballwalk.streams import rng_stream
 
 GAUSS2 = SurfaceQuadrature(2, 1.0, "chart-gauss", 512)
@@ -181,6 +183,55 @@ class TestHardyIntegrals:
     def test_r_out_of_range(self):
         with pytest.raises(ValueError):
             hardy_integrals(zero_fn(2), 1.0, GAUSS2)
+
+
+MONOTONE_GRID = np.arange(0.1, 0.951, 0.05)  # the martingale suite's 18 radii
+
+
+def _row_with_own_rule(u, r, quad):
+    # the per-radius arithmetic, with the rule rebuilt at every radius
+    pts, w = quad_nodes(quad)
+    w = w / np.sum(w)
+    a = np.abs(u.eval(r * pts))
+    return float(np.dot(w, a)), 1.0 + float(np.dot(w, np.expm1(-a))), float(np.dot(w, np.expm1(-a) + a))
+
+
+class TestHardyTable:
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_rows_equal_per_radius_integrals_bit_for_bit(self, m):
+        small = SurfaceQuadrature(m, 1.0, "chart-gauss", 128)
+        big = SurfaceQuadrature(m, 1.0, "chart-gauss", 2048 if m == 2 else 224)
+        for u in [*catalog(m, with_rates=False), zero_fn(m)]:
+            quad = big if u.name == "poisson-slice" else small
+            table = np.column_stack(hardy_table(u, MONOTONE_GRID, quad))
+            for r, row in zip(MONOTONE_GRID, table):
+                assert tuple(row) == hardy_integrals(u, float(r), quad), (u.name, r)
+                assert tuple(row) == _row_with_own_rule(u, float(r), quad), (u.name, r)
+
+    def test_one_rule_per_table(self, monkeypatch):
+        calls = []
+
+        def counting(quad):
+            calls.append(quad)
+            return quad_nodes(quad)
+
+        monkeypatch.setattr(harmonic, "quad_nodes", counting)
+        hardy_table(catalog(2, with_rates=False)[0], MONOTONE_GRID, GAUSS2)
+        assert calls == [GAUSS2]
+        estimate_rates(catalog(3, with_rates=False)[0])
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("grid", [[0.0, 0.5, 0.9], [0.3, 1.0, 0.6], [0.2, 0.4, 1.0], [0.5, -0.1]])
+    def test_radius_outside_open_interval_raises(self, grid):
+        with pytest.raises(ValueError):
+            hardy_table(zero_fn(2), grid, GAUSS2)
+
+    def test_off_unit_sphere_rule_raises(self):
+        quad = SurfaceQuadrature(2, 0.5, "chart-gauss", 64)
+        with pytest.raises(ValueError):
+            hardy_table(zero_fn(2), [0.3, 0.6], quad)
+        with pytest.raises(ValueError):
+            hardy_integrals(zero_fn(2), 0.3, quad)
 
 
 class TestEstimateRates:
