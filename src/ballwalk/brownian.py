@@ -115,6 +115,8 @@ class CensoredExit:
 
 def run_chunks(n_paths: int, fn, workers: int = 1) -> list:
     """``fn(chunk_index, lo, hi)`` for every CHUNK-path range, results in chunk order."""
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
     ranges = [(i // CHUNK, i, min(i + CHUNK, n_paths)) for i in range(0, n_paths, CHUNK)]
     if workers <= 1:
         return [fn(*r) for r in ranges]
@@ -219,7 +221,10 @@ def euler_chunk(rng, x0, c: int, dt: float, n_steps: int, bound: float,
         before[rows] = np.where((je > 0)[:, None], xs[je - 1, e], x[e])
         after[rows] = xs[je, e]
         outside[rows] = d1[je, e] <= 0.0
-        live, x, lv = live[keep], xs[-1, keep], ls[-1, keep]
+        # a boolean row mask with a trailing axis copies element by element;
+        # gathering the surviving rows by position copies each row whole
+        kept = np.flatnonzero(keep)
+        live, x, lv = live[kept], xs[-1].take(kept, axis=0), ls[-1].take(kept)
         t += k * dt
         left -= k
     censored = np.zeros(c, dtype=bool)
@@ -459,8 +464,8 @@ def exit_continuity_check(
 
         def first_past_r1(rows, _xs, levels, t, valid):
             past = valid & (levels >= r1)
-            first = np.isnan(tau1[rows]) & past.any(axis=0)
-            tau1[rows[first]] = t + (past[:, first].argmax(axis=0) + 1) * dt
+            first = np.flatnonzero(np.isnan(tau1[rows]) & past.any(axis=0))
+            tau1[rows[first]] = t + (past.take(first, axis=1).argmax(axis=0) + 1) * dt
 
         rng = rng_stream(seed, stream_id, ci)
         ex = euler_chunk(rng, x, hi - lo, dt, int(math.ceil(horizon / dt)), r2, bridge=False, observe=first_past_r1)

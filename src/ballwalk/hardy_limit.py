@@ -144,15 +144,17 @@ def limit_experiment(
         def windows(rows, xs, levels, _t, valid):
             # radii increase, so q=1 opens first: only paths whose q=1 window
             # is open or opens in this block are looked at
-            sel = crossed[rows, 0] | np.any(valid & (levels >= radii[0]), axis=0)
-            if not np.any(sel):
+            cols = np.flatnonzero(crossed[rows, 0] | np.any(valid & (levels >= radii[0]), axis=0))
+            if not cols.size:
                 return
-            wrows, v = rows[sel], valid[:, sel, None]
-            opened = crossed[wrows] | np.logical_or.accumulate(v & (levels[:, sel, None] >= radii), axis=0)
+            wrows, v = rows[cols], valid.take(cols, axis=1)[..., None]
+            lv = levels.take(cols, axis=1)[..., None]
+            opened = crossed[wrows] | np.logical_or.accumulate(v & (lv >= radii), axis=0)
             inwin = v & opened  # (k, n, q): step i lies in path n's window q
             seen = inwin[..., 0]
+            pts = xs.take(cols, axis=1).reshape(-1, xs.shape[-1]).take(np.flatnonzero(seen), axis=0)
             uv = np.zeros(seen.shape)
-            uv[seen] = eval_on_points(u.eval, xs[:, sel][seen])
+            uv[seen] = eval_on_points(u.eval, pts)
             umin[wrows] = np.minimum(umin[wrows], np.where(inwin, uv[..., None], np.inf).min(axis=0))
             umax[wrows] = np.maximum(umax[wrows], np.where(inwin, uv[..., None], -np.inf).max(axis=0))
             crossed[wrows] = opened[-1]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -25,6 +26,8 @@ from ballwalk.brownian import (
     wos_exit_points,
     wos_from_many,
 )
+from ballwalk.hardy_limit import RadiusSchedule, limit_experiment
+from ballwalk.harmonic import zero_fn
 from ballwalk.sphere import uniform_sphere_sample
 from ballwalk.stats import ks_one_sample, ks_two_sample, mc_estimate
 from ballwalk.streams import rng_stream
@@ -140,11 +143,16 @@ class TestExitPointsBatch:
         assert np.all(taus > 0)
 
     def test_worker_count_invariance(self):
+        # three chunks; the 8192-path ones step in blocks of k = 2
         cfg = PathConfig(m=2, dt=1e-3, horizon=100.0, seed=7)
         a = exit_points_batch(cfg, np.zeros(2), 1.0, 20_000, workers=1)
         b = exit_points_batch(cfg, np.zeros(2), 1.0, 20_000, workers=3)
         for x, y in zip(a, b):
             assert np.array_equal(x, y, equal_nan=True)
+        # (taus, pts, cen) bytes, recorded with numpy 2.4.6 and scipy 1.17.1
+        # (see test_cli.TestGoldenOutputs for when a digest may change)
+        digest = hashlib.sha256(b"".join(x.tobytes() for x in a)).hexdigest()
+        assert digest == "7d2b6e071e8643a6d354ca709df72089051321f4bcf3b19f4e371604b49b42c5"
 
     def test_mean_exit_time(self):
         # E tau from the center of the unit ball is 1/m
@@ -152,6 +160,25 @@ class TestExitPointsBatch:
         taus, _, cen = exit_points_batch(cfg, np.zeros(3), 1.0, 4000)
         est = mc_estimate(taus[~cen])
         assert abs(est.mean - 1.0 / 3.0) <= 3 * est.std_error + 2e-3
+
+
+class TestNoPaths:
+    def test_entry_points_reject_fewer_than_one_path(self):
+        cfg = PathConfig(m=2, dt=1e-3, horizon=10.0, seed=1)
+        u = zero_fn(2)
+        sched = RadiusSchedule(1, np.array([0.5]), u.hardy, "paper-133")
+        for n in (0, -5):
+            calls = {
+                "exit_points_batch": lambda: exit_points_batch(cfg, np.zeros(2), 1.0, n),
+                "reflection_crossing_mc": lambda: reflection_crossing_mc(1.0, 1.0, 1e-3, n, seed=1),
+                "scaling_check": lambda: scaling_check(1, 1.0, n, dt=1e-3),
+                "exit_continuity_check": lambda: exit_continuity_check(1, np.zeros(2), 0.9, 0.9, 5, n, dt=1e-3),
+                "limit_experiment": lambda: limit_experiment(u, sched, cfg, n, 0.9),
+            }
+            for name, call in calls.items():
+                with pytest.raises(ValueError, match="n_paths must be >= 1"):
+                    call()
+                    pytest.fail(f"{name} accepted n_paths={n}")
 
 
 class TestEulerChunk:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ballwalk.brownian import PathConfig
-from ballwalk.harmonic import RateData, catalog, estimate_rates, hardy_integrals, zero_fn
+from ballwalk import brownian
+from ballwalk.brownian import PathConfig, euler_chunk, exit_points
+from ballwalk.harmonic import HarmonicFn, RateData, catalog, estimate_rates, hardy_integrals, zero_fn
 from ballwalk.hardy_limit import (
     RadiusSchedule,
     delta3,
@@ -12,6 +13,7 @@ from ballwalk.hardy_limit import (
     schedule_epsilons,
 )
 from ballwalk.sphere import SurfaceQuadrature
+from ballwalk.streams import rng_stream
 
 GAUSS2 = SurfaceQuadrature(2, 1.0, "chart-gauss", 512)
 
@@ -137,3 +139,50 @@ class TestLimitExperiment:
         sched = radius_schedule(u.hardy, 3)
         with pytest.raises(ValueError):
             limit_experiment(u, sched, self.CFG, 10, float(sched.radii[-1]))
+
+
+class TestLimitExperimentValues:
+    """The q-window sups against a brute force over the kernel's own blocks.
+
+    u = 8 x1 on the ladder 0.8, 0.9, 0.95 puts every exceedance strictly
+    inside (0, 1) at the thresholds 8, 4 and 2; the catalog members give 0.
+    """
+
+    U = HarmonicFn("8x1", 2, lambda p: 8.0 * p[..., 0], lambda r, eps: eps / 8.0)
+    SCHED = RadiusSchedule(3, np.array([0.8, 0.9, 0.95]), synthetic_rates(lambda e: e, lambda e: e), "paper-133")
+    CFG = PathConfig(m=2, dt=1e-3, horizon=100.0, seed=20260809, stream_id=5)
+    N, R_TRUNC = 300, 0.99
+
+    def brute_force_exceedance(self):
+        steps = [[] for _ in range(self.N)]
+
+        def record(rows, xs, levels, _t, valid):
+            for col, row in enumerate(rows):
+                k = int(valid[:, col].sum())  # the valid steps lead each column
+                steps[row].append((xs[:k, col], levels[:k, col]))
+
+        cfg = self.CFG
+        rng = rng_stream(cfg.seed, cfg.stream_id, 0)
+        ex = euler_chunk(rng, np.zeros(2), self.N, cfg.dt, cfg.n_steps, self.R_TRUNC, observe=record)
+        assert not ex.censored.any()
+        _, pts = exit_points(ex, self.R_TRUNC, cfg.dt)
+        v = self.U.eval(pts)
+        dev = np.zeros((self.N, 3))
+        for row in range(self.N):
+            xs = np.concatenate([b[0] for b in steps[row]])
+            levels = np.concatenate([b[1] for b in steps[row]])
+            for q, r in enumerate(self.SCHED.radii):
+                past = np.flatnonzero(levels >= r)
+                if past.size:  # the window runs from the first crossing of r to the exit step
+                    dev[row, q] = np.max(np.abs(v[row] - self.U.eval(xs[past[0]:])))
+        return [float(np.mean(dev[:, q] > 2.0 ** (2 - q))) for q in range(3)]
+
+    @pytest.mark.parametrize("cells", [brownian.BLOCK_CELLS, 2**8])
+    def test_exceedance_matches_brute_force(self, monkeypatch, cells):
+        # with 2^8 cells a block holds at most two steps of the 300 paths
+        monkeypatch.setattr(brownian, "BLOCK_CELLS", cells)
+        rep = limit_experiment(self.U, self.SCHED, self.CFG, self.N, self.R_TRUNC)
+        assert rep.n_censored == 0
+        got = [row.exceedance for row in rep.rows]
+        assert all(0.0 < p < 1.0 for p in got), got
+        assert got == self.brute_force_exceedance()
