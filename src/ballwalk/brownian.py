@@ -4,9 +4,11 @@ Two engines produce exit points from a ball centered at the origin:
 
 * a discretized Euler walk with a half-space Brownian-bridge correction for
   sub-step excursions (the standard remedy for exit-detection bias), and
-* an exact-in-distribution sampler, ``wos_from_many``: one rejection loop
-  against the uniform law on the sphere, with the per-row bound
-  (1 + s) / (1 - s)^(m-1) on the exit density, s = |x| / r.
+* an exact-in-distribution sampler, ``wos_from_many``: Mobius images of
+  uniform points, with one rejection test against an equal-weight mixture of
+  about log2 1/(1 - s) images, s = |x| / r.  At m = 2 the Mobius image is the
+  exit law itself and every proposal is accepted; at m >= 3 a point costs
+  O(log 1/(1 - s)) proposals, under a bound proven in its docstring.
 
 Every Euler check runs through one kernel, ``euler_chunk``, which steps a
 chunk of paths, many time steps per numpy call, until a level (|x|, or x1
@@ -306,11 +308,6 @@ def exit_points_batch(cfg: PathConfig, x0, r: float, n_paths: int, workers: int 
     return tuple(np.concatenate(part) for part in zip(*run_chunks(n_paths, run, workers)))
 
 
-def wos_density_bounds(s, m: int):
-    """Range of the exit-point density against uniform for a start at |x| = s (elementwise in s)."""
-    return (1.0 - s * s) / (1.0 + s) ** m, (1.0 - s * s) / (1.0 - s) ** m
-
-
 def wos_exit_points(rng: np.random.Generator, x, r: float, n: int) -> np.ndarray:
     """Exact-in-distribution exit points of D(0, r) for n paths from x (rows)."""
     x = np.asarray(x, dtype=float)
@@ -319,15 +316,58 @@ def wos_exit_points(rng: np.random.Generator, x, r: float, n: int) -> np.ndarray
     return wos_from_many(rng, np.tile(x, (n, 1)), r)
 
 
+def _mobius(w, e, xh, wa2):
+    """The Mobius image of w for a = (1 - e) xh, given |w + a|^2 = wa2."""
+    a = (1.0 - e) * xh
+    return (e * (2.0 - e) * (w + a) + wa2 * a) / wa2
+
+
+def _mixture_bound(m: int, k: np.ndarray) -> np.ndarray:
+    """B = K C_m with C_m = 2^((m-1)/2), or 1 where K = 1 (see ``wos_from_many``)."""
+    return np.where(k > 1, k * 2.0 ** ((m - 1) / 2.0), 1.0)
+
+
 def wos_from_many(rng: np.random.Generator, xs: np.ndarray, r: float) -> np.ndarray:
     """Exact-in-distribution exit points of D(0, r), one path from each row of xs.
 
-    Rejection against the uniform law on the sphere: a proposal z is accepted
-    with probability f(z) / b, f(z) = (1 - s^2) / |z - x/r|^m the exit density
-    and b = (1 + s) / (1 - s)^(m-1) its maximum (``wos_density_bounds``),
-    s = |x| / r.  Each round draws k proposals for every pending row,
-    k = min(ceil(largest pending b), BLOCK_CELLS // (pending m)) and at
-    least 1, and a row keeps its first accepted proposal.
+    In units of r, a row starts at x = s xh (|xh| = 1, delta = 1 - s) and
+    exits with density f(z) = (1 - s^2) / |z - x|^m against the uniform law.
+    The Mobius map z = ((1 - |a|^2)(w + a) + |w + a|^2 a) / |w + a|^2 sends a
+    uniform w to the density g_a(z) = ((1 - |a|^2) / |z - a|^2)^(m-1).  A
+    proposal maps a uniform w through a = (1 - e) xh, e drawn with equal
+    weight from E = {1, 1/2, ..., 2^(1-J), delta}, J = ceil(log2 1/delta) (the
+    smallest J with 2^-J <= delta), K = J + 1; its density is the mean g of
+    the K g_a.  It is accepted when U B g(z) < f(z), U uniform, B the bound
+    proven below; a row keeps its first accepted proposal.  At m = 2 the one
+    component a = x is used (J = 0), as is the case at s = 0: then g = f,
+    B = 1, and no uniform is drawn.
+
+    With u = |z - xh|^2, |z - (1 - e) xh|^2 = e^2 + (1 - e) u, which does not
+    cancel near xh; f and g are evaluated through it, and u comes from w
+    (a fixes xh, so u = e^2 |w - xh|^2 / |w + a|^2).
+
+    Bound: for m >= 3 and every z some e in E has f / g_e <= C_m =
+    2^((m-1)/2); as g >= g_e / K, f <= K C_m g.  Let L = |z - x|, P = 1 - s^2
+    = delta (2 - delta), and e >= delta.  Then f / g_e = p q^(m-1), with
+    p = P / L and q = (e^2 + (1 - e) u) / (e (2 - e) L), and f / g_delta =
+    (L / P)^(m-2).
+    * L <= P: f / g_delta <= 1.  L >= 1: f / g_1 = P / L^m < 1.
+    * J = 1 (s <= 1/2, E = {1, delta}): f / g_1 falls and f / g_delta rises
+      in L, and they meet at L^2 = P, where both are P^(-(m-2)/2) <=
+      (4/3)^((m-2)/2) <= C_m.
+    * J >= 2 and P < L < 1, so p < 1: since L^2 = delta^2 + (1 - delta) u
+      and (1 - e) <= (1 - delta), q <= (e^2 + L^2) / (e (2 - e) L) =
+      (t + 1/t) / (2 - e) with t = e / L.  If L >= 2^(-1/2), e = 1 gives
+      q = 1/L <= 2^(1/2).  If 1/2 <= L < 2^(-1/2), e = 1/2 gives t in
+      (2^(-1/2), 1], so q <= (3 / 2^(1/2)) / (3/2) = 2^(1/2).  If delta <=
+      P < L < 1/2, neighbours in {1/2, ..., 2^(1-J), delta} differ by at most
+      a factor 2, so one e has t in [2^(-1/2), 2^(1/2)] and e <= 1/2: again
+      q <= 2^(1/2), and f / g_e < q^(m-1) <= C_m.
+
+    Rows with K = 1 take one proposal each.  The others run in rounds: each
+    round draws k proposals for every pending row, k = min(ceil(largest
+    pending B), BLOCK_CELLS // (pending m)) and at least 1, then their
+    component indices, then their accept uniforms.
     """
     xs = np.asarray(xs, dtype=float)
     n, m = xs.shape
@@ -335,18 +375,44 @@ def wos_from_many(rng: np.random.Generator, xs: np.ndarray, r: float) -> np.ndar
     s = _radius(xb)
     if not np.all(s < 1.0):
         raise ValueError("all starts must lie in the open ball")
-    bound = wos_density_bounds(s, m)[1]
+    delta = 1.0 - s
+    xh = np.divide(xb, s[:, None], out=np.zeros_like(xb), where=s[:, None] > 0.0)
+    xh[s == 0.0, 0] = 1.0  # any axis will do for a centred start
+    jmax = 1 - np.frexp(delta)[1] if m > 2 else np.zeros(n, dtype=int)  # 0 where s = 0
+    ncomp = jmax + 1
     out = np.empty((n, m))
-    pending = np.arange(n)
+    plain = np.flatnonzero(ncomp == 1)
+    if plain.size:
+        w = uniform_sphere_sample(rng, m, size=plain.size)
+        d, h = delta[plain, None], xh[plain]
+        out[plain] = _mobius(w, d, h, d * d + (1.0 - d) * np.einsum("ij,ij->i", w + h, w + h)[:, None])
+    pending = np.flatnonzero(ncomp > 1)
+    bound = _mixture_bound(m, ncomp)
+    scale = bound / ncomp  # B / K, as g is the sum of the g_a over K
+    # e[j, i] for j <= J_i, components first so that the sum over them adds
+    # whole arrays; past J_i, e repeats delta and 1 - |a|^2 is set to 0, so
+    # those rows add nothing to the sum of the g_a
+    cols = np.arange(int(ncomp.max()))[:, None]
+    e = np.where(cols < jmax, 0.5**cols, delta)
+    e2, one_e, one_a2 = e * e, 1.0 - e, np.where(cols < ncomp, e * (2.0 - e), 0.0)
     while pending.size:
         p = pending.size
         k = max(1, min(math.ceil(bound[pending].max()), BLOCK_CELLS // (p * m)))
-        z = uniform_sphere_sample(rng, m, size=p * k).reshape(p, k, m)
-        f = (1.0 - s[pending, None] ** 2) / _radius(z - xb[pending, None]) ** m
-        ok = rng.random((p, k)) * bound[pending, None] < f
-        hit = ok.any(axis=1)
-        out[pending[hit]] = z[hit, ok[hit].argmax(axis=1)]
-        pending = pending[~hit]
+        w = uniform_sphere_sample(rng, m, size=p * k).reshape(p, k, m)
+        ec = e[(rng.random((p, k)) * ncomp[pending, None]).astype(int), pending[:, None]]
+        h = xh[pending, None]
+        wa2 = ec * ec + (1.0 - ec) * np.einsum("...i,...i->...", w + h, w + h)  # |w + a|^2
+        u = ec * ec * np.einsum("...i,...i->...", w - h, w - h) / wa2  # |z - xh|^2
+        d = delta[pending, None]
+        f = d * (2.0 - d) / (d * d + (1.0 - d) * u) ** (m / 2.0)
+        g = one_e[:, pending, None] * u
+        g += e2[:, pending, None]
+        np.divide(one_a2[:, pending, None], g, out=g)
+        ok = rng.random((p, k)) * scale[pending, None] * (g ** (m - 1.0)).sum(axis=0) < f
+        hit = np.flatnonzero(ok.any(axis=1))
+        first = ok[hit].argmax(axis=1)
+        out[pending[hit]] = _mobius(w[hit, first], ec[hit, first, None], xh[pending[hit]], wa2[hit, first, None])
+        pending = np.delete(pending, hit)
     return r * out
 
 
@@ -443,7 +509,8 @@ def exit_continuity_check(
     compares the empirical P(tau2 - tau1 > 2^(-kappa+4)) with the bound
     2^(-kappa+1).  Both crossings are grid times read off the same Euler
     path (no bridge correction), so the coupling is exact and tau2 >= tau1
-    pathwise by construction.
+    pathwise by construction.  When the horizon censors every path there is
+    no evidence: exceedance 1.0, not passed, and min_diff NaN.
     """
     x = np.asarray(x, dtype=float)
     gap = r2 - r1
@@ -475,9 +542,9 @@ def exit_continuity_check(
         return tau2 - np.where(np.isnan(tau1[done]), tau2, tau1[done])
 
     diffs = np.concatenate(run_chunks(n_paths, run, workers))
-    n_done = diffs.size
-    p = int(np.sum(diffs > exceed_thr)) / max(n_done, 1)
-    se = binomial_se(p, max(n_done, 1))
     bound = 2.0 ** (-kappa + 1)
-    min_diff = float(np.min(diffs)) if n_done else math.inf
-    return ContinuityReport(p, se, bound, exceed_thr, p <= bound + 3.0 * se, min_diff)
+    if not diffs.size:  # every path censored: no evidence, so the check fails
+        return ContinuityReport(1.0, 0.0, bound, exceed_thr, False, math.nan)
+    p = int(np.sum(diffs > exceed_thr)) / diffs.size
+    se = binomial_se(p, diffs.size)
+    return ContinuityReport(p, se, bound, exceed_thr, p <= bound + 3.0 * se, float(np.min(diffs)))

@@ -54,6 +54,7 @@ STREAMS = {
     "exit-dist/euler": range(12, 13), "exit-dist/exact": range(13, 14),
     "exit-dist/trace": range(14, 15), "reflection": range(20, 21), "tightness": range(31, 34),
     "martingale/lambda-bar": range(40, 41), "martingale/skeleton": range(41, 42),
+    "martingale/skeleton-m3": range(43, 44),
     "hardy-limit": range(50, 53), "continuity": range(70, 71),
 }
 
@@ -142,12 +143,18 @@ def write_csv(path: Path, columns: list[str], rows: list[list], meta: dict):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _number(x):
+    """A float for the verdict JSON; None stands for a missing or non-finite value,
+    which JSON cannot hold."""
+    return None if x is None or not math.isfinite(x) else float(x)
+
+
 def verdict(claim: str, target, estimate, tolerance, passed) -> dict:
     return {
         "claim": claim,
-        "target": None if target is None else float(target),
-        "estimate": None if estimate is None else float(estimate),
-        "tolerance": None if tolerance is None else float(tolerance),
+        "target": _number(target),
+        "estimate": _number(estimate),
+        "tolerance": _number(tolerance),
         "pass": bool(passed),
     }
 
@@ -343,29 +350,21 @@ def suite_martingale(cfg: RunConfig, out: Path) -> bool:
             not coin_rep.premise_holds,
         )
     )
-    # Y skeleton of x1 between 0.90 and 0.91, premise-verified eps
-    u = catalog(2, with_rates=False)[0]
-    rng = rng_stream(cfg.seed, STREAMS["martingale/skeleton"][0])
-    sk = sample_Y_skeleton(rng, u, np.array([0.90, 0.91]), cfg.n_paths)
-    eps_used, rep = None, None
-    for eps in (0.3, 0.4, 0.5, 0.7, 1.0, 1.5, 2.0):
-        cand = maximal_inequality_check(sk, eps)
-        if cand.premise_holds:
-            eps_used, rep = eps, cand
-            break
-    if rep is None:
-        verdicts.append(verdict("maximal inequality premise holds at some eps <= 2", None, None, None, False))
-    else:
-        verdicts.append(
-            verdict(
-                f"premise holds at eps={eps_used}: P(max_k |Z_k - Z_0| > eps) < eps",
-                eps_used,
-                rep.exceedance,
-                eps_used,
-                bool(rep.passed),
-            )
-        )
-        rows.append([eps_used, rep.lhs, rep.lhs_se, rep.rhs, rep.exceedance, rep.exceedance_se])
+    # Y skeletons of x1 between 0.90 and 0.91 at m = 2 and 3, premise-verified eps
+    for m, stream in ((2, "martingale/skeleton"), (3, "martingale/skeleton-m3")):
+        u = catalog(m, with_rates=False)[0]
+        rng = rng_stream(cfg.seed, STREAMS[stream][0])
+        sk = sample_Y_skeleton(rng, u, np.array([0.90, 0.91]), cfg.n_paths)
+        checks = (maximal_inequality_check(sk, eps) for eps in (0.3, 0.4, 0.5, 0.7, 1.0, 1.5, 2.0))
+        rep = next((c for c in checks if c.premise_holds), None)
+        if rep is None:
+            claim = f"maximal inequality premise holds at some eps <= 2 (m={m})"
+            verdicts.append(verdict(claim, None, None, None, False))
+            continue
+        claim = f"premise holds at eps={rep.bound} (m={m}): P(max_k |Z_k - Z_0| > eps) < eps"
+        limit = rep.bound + 3.0 * rep.exceedance_se  # the bound maximal_inequality_check applies
+        verdicts.append(verdict(claim, rep.bound, rep.exceedance, limit, bool(rep.passed)))
+        rows.append([m, rep.bound, rep.lhs, rep.lhs_se, rep.rhs, rep.exceedance, rep.exceedance_se])
     # monotonicity of the boundary integrals across the catalog
     grid = np.arange(0.1, 0.951, 0.05)
     for m in (2, 3):
@@ -383,7 +382,7 @@ def suite_martingale(cfg: RunConfig, out: Path) -> bool:
                     mono.passed,
                 )
             )
-    cols = ["eps", "premise_lhs", "premise_lhs_se", "premise_rhs", "exceedance", "exceedance_se"]
+    cols = ["m", "eps", "premise_lhs", "premise_lhs_se", "premise_rhs", "exceedance", "exceedance_se"]
     return write_suite(out, "martingale", cfg, cols, rows, verdicts)
 
 

@@ -22,7 +22,6 @@ from ballwalk.brownian import (
     scaling_check,
     simulate_exit,
     tightness_N,
-    wos_density_bounds,
     wos_exit_points,
     wos_from_many,
 )
@@ -279,7 +278,7 @@ class TestWalkOnSpheres:
         x = np.array([0.4, 0.2, 0.0])
         s = np.linalg.norm(x)
         z = wos_exit_points(rng, x, 1.0, 5000)
-        lo, hi = wos_density_bounds(float(s), 3)
+        lo, hi = (1 - s**2) / (1 + s) ** 3, (1 - s**2) / (1 - s) ** 3
         dens = (1 - s**2) / np.linalg.norm(z - x, axis=1) ** 3
         assert np.all(dens >= lo - 1e-12) and np.all(dens <= hi + 1e-12)
 
@@ -322,6 +321,104 @@ class TestWalkOnSpheres:
         for i, s in enumerate(ss):
             rep = ks_one_sample(np.clip(z[i::3, 0], -1.0, 1.0), lambda c: self.exit_cdf(m, s, c))
             assert rep.statistic * math.sqrt(n) < 1.95, (s, rep.statistic)
+
+    @staticmethod
+    def mixture_ratio(m, s, y):
+        """f / g at 1 - z.xh = y for a start at |x| = s: the exit density over
+        the mean of the Mobius proposal densities, from the component list in
+        ``wos_from_many``'s docstring, independently of the sampler's arithmetic."""
+        d = 1.0 - s
+        j = 0 if m == 2 or s == 0.0 else math.ceil(round(-math.log2(d), 12))
+        eps = [2.0**-i for i in range(j)] + [d]
+        u = 2.0 * y  # |z - xh|^2
+        f = d * (2.0 - d) / (d * d + s * u) ** (m / 2.0)
+        g = np.mean([(e * (2.0 - e) / (e * e + (1.0 - e) * u)) ** (m - 1) for e in eps], axis=0)
+        return f / g, len(eps)
+
+    def test_mixture_bound_certified(self):
+        # f / g <= B on a log grid of 1 - t down to 1e-30, for every m and
+        # 1 - s down to 1e-12, the edges of the J bands included
+        y = np.concatenate([np.logspace(-30, math.log10(2.0), 4000), [0.0, 1.0, 2.0]])
+        deltas = np.concatenate([np.logspace(-12, 0, 241), 2.0 ** -np.arange(1.0, 40.0), [0.5 + 1e-9, 0.25 - 1e-9]])
+        for m in range(2, 9):
+            worst = 0.0
+            for d in deltas:
+                s = 1.0 - d
+                ratio, k = self.mixture_ratio(m, s, y)
+                b = float(brownian._mixture_bound(m, np.array([k]))[0])
+                worst = max(worst, float(ratio.max()) / b)
+            assert worst <= 1.0, (m, worst)
+
+    @staticmethod
+    def zonal_cdf(m, s):
+        """P(z.xh <= c) for the exit point from |x| = s: density proportional
+        to (1 - t^2)^((m-3)/2) (1 + s^2 - 2 s t)^(-m/2).  Closed form at m = 2, 3;
+        at m >= 4 ``quad`` in log(1 - t), summed between consecutive sorted points."""
+        if m in (2, 3):
+            return lambda c: TestWalkOnSpheres.exit_cdf(m, s, np.clip(c, -1.0, 1.0))
+        from scipy import integrate
+
+        d = 1.0 - s
+
+        def h(v):  # density in v = log(1 - t), including the Jacobian 1 - t
+            y = math.exp(v)
+            return (y * (2.0 - y)) ** ((m - 3) / 2.0) * (d * d + 2.0 * s * y) ** (-m / 2.0) * y
+
+        def upper(c):  # the mass above each sorted c, from the top down
+            vs = np.log(np.maximum(1.0 - c, 1e-300))[::-1]
+            lo, acc, out = math.log(1e-40), 0.0, []
+            for v in vs:
+                if v > lo:
+                    acc += integrate.quad(h, lo, v, points=[math.log(d * d)] if lo < 2 * math.log(d) < v else None,
+                                          limit=200)[0]
+                    lo = v
+                out.append(acc)
+            return np.array(out[::-1])
+
+        total = upper(np.array([-1.0]))[0]
+        return lambda c: 1.0 - upper(np.asarray(c, dtype=float)) / total
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_exit_law_ks_near_the_boundary(self, m):
+        # one call mixing five starts off the axes, up to 1 - s = 1e-6; each
+        # start's z.xh against the exact law, at the 0.1% level (KS 1.95)
+        ss = (0.3, 0.7, 0.989, 0.999, 1.0 - 1e-6)
+        n = 2000
+        dirs = uniform_sphere_sample(rng_stream(20260809, 19), m, size=len(ss))
+        xs = np.tile(np.array(ss)[:, None] * dirs, (n, 1))
+        z = wos_from_many(rng_stream(20260809, 20, m), xs, 1.0)
+        for i, s in enumerate(ss):
+            t = z[i:: len(ss)] @ dirs[i]
+            rep = ks_one_sample(np.clip(t, -1.0, 1.0), self.zonal_cdf(m, s))
+            assert rep.statistic * math.sqrt(n) < 1.95, (s, rep.statistic)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_mean_is_the_start_off_the_axes(self, m):
+        x = 0.8 * np.linspace(1.0, 2.0, m) / np.linalg.norm(np.linspace(1.0, 2.0, m))
+        z = wos_exit_points(rng_stream(20260809, 21, m), x, 1.0, 40_000)
+        se = z.std(axis=0) / math.sqrt(z.shape[0])
+        assert np.all(np.abs(z.mean(axis=0) - x) <= 3.0 * se), (z.mean(axis=0) - x) / se
+
+    def test_no_accept_uniform_without_a_mixture(self):
+        # m = 2 and centred starts take one proposal per row and nothing else
+        for m, x in ((2, [0.7, 0.0]), (3, [0.0, 0.0, 0.0])):
+            a, b = rng_stream(22), rng_stream(22)
+            z = wos_exit_points(a, np.array(x), 1.0, 500)
+            assert z.shape == (500, m)
+            uniform_sphere_sample(b, m, size=500)
+            assert a.random() == b.random()
+
+    def test_halved_bound_fails_ks(self, monkeypatch):
+        # negative control: B at half the measured sup of f / g truncates the
+        # law, and the same KS that passes above must see it
+        m, s, n = 3, 0.7, 20_000
+        y = np.logspace(-30, math.log10(2.0), 4000)
+        ratio, _ = self.mixture_ratio(m, s, y)
+        half = 0.5 * float(ratio.max())
+        monkeypatch.setattr(brownian, "_mixture_bound", lambda m_, k: np.where(k > 1, half, 1.0))
+        z = wos_exit_points(rng_stream(20260809, 23), np.array([s, 0.0, 0.0]), 1.0, n)
+        rep = ks_one_sample(np.clip(z[:, 0], -1.0, 1.0), self.zonal_cdf(m, s))
+        assert rep.statistic * math.sqrt(n) > 1.95, rep.statistic
 
 
 class TestEngineAgreement:

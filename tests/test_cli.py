@@ -176,6 +176,22 @@ class TestDeterminism:
         assert (a / "continuity.csv").read_bytes() == (b / "continuity.csv").read_bytes()
 
 
+class TestContinuitySuite:
+    def test_all_censored_fails_and_writes_strict_json(self, tmp_path):
+        # a horizon of 10 steps censors every path: no evidence must not pass,
+        # and the verdict JSON must hold no Infinity or NaN token
+        args = ["--out", str(tmp_path), "--paths", "200", "--dt", "0.001", "--horizon", "0.01", "--m", "2"]
+        assert run_cli("continuity", *args) == 1
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        data = json.loads((tmp_path / "continuity.json").read_text(), parse_constant=reject)
+        exceed, pathwise = data["verdicts"]
+        assert exceed["estimate"] == 1.0 and exceed["pass"] is False
+        assert pathwise["estimate"] is None and pathwise["pass"] is False
+
+
 # every suite at the smallest sizes it accepts (scaling's KS needs 50 paths)
 SMALL_ARGS = {
     "constants": [],
@@ -247,6 +263,20 @@ class TestScripts:
         assert "m=2:" in proc.stdout and "m=3:" in proc.stdout
         assert "engines z1 KS" in proc.stdout
 
+    def test_bench_exit_sampler_writes_every_cell(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        out = tmp_path / "bench.json"
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "bench_exit_sampler.py"), "--side", f"smoke={root}",
+             "--points", "200", "--cap", "60", "--out", str(out)],
+            capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        cells = json.loads(out.read_text())["sampler"]["smoke"]
+        assert len(cells) == 16
+        assert cells["m=2 s=0.999"]["proposals_per_point"] == 1.0
+        assert all(c["exits_per_s"] > 0 for c in cells.values())
+
 
 class TestGoldenOutputs:
     """Every suite output at SMALL_ARGS and seed 20260809, pinned by sha256.
@@ -263,11 +293,11 @@ class TestGoldenOutputs:
         "continuity.json": "dfe78f34281dc07f75b70f6dddfe4e217e08650f8a44a548719d87c3f5face6d",
         "exit-dist-trace.csv": "781919ffa4f740faf21da0bbb959fcaf3d766f69306f66da3dc0117ae3f7b2de",
         "exit-dist.csv": "1a7251cee74b12b9c1d56affc3ca9ca30b7071455d04a6668419372cd5e7cc92",
-        "exit-dist.json": "396ca7ac7a99021d293511163bd173471d9c80ec5f62c814961cf6143dcef5fd",
+        "exit-dist.json": "4c71ce19165098d733137da7da0a30b0e0225a4ee47c72e3d9c3f2a4c4c83cad",
         "hardy-limit.csv": "d1b49d9d31fbd9646817d5606f43069f7bd3e20e3d5321e3b489c43d7a192b87",
         "hardy-limit.json": "a953a77b5fbdc71124e4eef9d13913240271eddb06042a33dc080f29df1a515a",
-        "martingale.csv": "aa03e88268894c2cabc404fdf1f8654520cb4ce646258ffc6dda83c2d31090c3",
-        "martingale.json": "49a9c887d62b6c05e1a3144f99fd8c9943668b8e78aff1ed76406dabbdb61225",
+        "martingale.csv": "366f7ade751db6b91b3efa0e975a094638eade63f60ad66267d93f889342776f",
+        "martingale.json": "0654e5059046ed46c304113070a9de7c8773160790a31d3855adc21c9bf9a907",
         "reflection.csv": "3f94f20a88d6d93aa79bce42e70b5f4f52cb24c0ebdfa073e3cab76e0bc7bae8",
         "reflection.json": "6837ae5bdaf30e9018ca6cebd7b268708bca1d29d58a8fa3c1f0a5d2923c242a",
         "scaling.csv": "7dc1cd7d3cb9a18a4dcea941ee778d648b22a5be037a8c789d6a0bfa7f07068c",

@@ -112,6 +112,17 @@ class TestMaximalInequality:
         assert rep.lhs == pytest.approx(i3b - i3a, abs=3 * rep.lhs_se)
 
 
+    def test_skeleton_premise_and_conclusion_m3(self):
+        # the Mobius sampler makes s = 0.90 / 0.91 cheap at m = 3 too
+        u = catalog(3, with_rates=False)[0]
+        sk = sample_Y_skeleton(rng_stream(20260809, 43), u, np.array([0.90, 0.91]), 20_000)
+        rep = maximal_inequality_check(sk, 0.7)
+        assert rep.premise_holds and rep.passed
+        quad = SurfaceQuadrature(3, 1.0, "chart-gauss", 128)
+        i3a = hardy_integrals(u, 0.90, quad)[2]
+        i3b = hardy_integrals(u, 0.91, quad)[2]
+        assert rep.lhs == pytest.approx(i3b - i3a, abs=3 * rep.lhs_se)
+
 class TestYSkeleton:
     def test_stage_means_and_boundary_integrals(self):
         u = catalog(2, with_rates=False)[0]
