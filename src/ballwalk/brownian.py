@@ -14,8 +14,10 @@ Every Euler check runs through one kernel, ``euler_chunk``, which steps a
 chunk of paths, many time steps per numpy call, until a level (|x|, or x1
 for a half-line) reaches a bound; ``exit_points`` turns its exit steps into
 exit times and sphere points.
-``run_chunks`` schedules chunks of CHUNK paths, each with its own Philox
-stream, so results are a function of (seed, stream_id, config) alone,
+Every discretized-path check takes a ``PathConfig``, whose ``n_steps`` is
+the one step count, and runs its chunks of CHUNK paths through
+``run_chunks``, which alone keys chunk i's Philox stream by (seed,
+stream_id, i).  Results are a function of (seed, stream_id, config) alone,
 independent of how chunks are scheduled across workers.
 """
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -115,15 +117,23 @@ class CensoredExit:
     elapsed: float
 
 
-def run_chunks(n_paths: int, fn, workers: int = 1) -> list:
-    """``fn(chunk_index, lo, hi)`` for every CHUNK-path range, results in chunk order."""
+def run_chunks(cfg: PathConfig, n_paths: int, fn, workers: int = 1) -> tuple:
+    """``fn(rng, c)`` for every chunk of c <= CHUNK paths, chunk i drawing from
+    stream (cfg.seed, cfg.stream_id, i); ``fn`` returns a tuple of arrays, and
+    each position is concatenated over the chunks in chunk order."""
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    ranges = [(i // CHUNK, i, min(i + CHUNK, n_paths)) for i in range(0, n_paths, CHUNK)]
+
+    def run(i: int):
+        return fn(rng_stream(cfg.seed, cfg.stream_id, i), min(CHUNK, n_paths - i * CHUNK))
+
+    chunks = range((n_paths + CHUNK - 1) // CHUNK)
     if workers <= 1:
-        return [fn(*r) for r in ranges]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda r: fn(*r), ranges))
+        parts = [run(i) for i in chunks]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run, chunks))
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def _radius(x: np.ndarray) -> np.ndarray:
@@ -296,16 +306,16 @@ def exit_points_batch(cfg: PathConfig, x0, r: float, n_paths: int, workers: int 
     """Vectorized discretized exits for many paths.
 
     Returns (taus, points, censored): censored paths carry the elapsed time
-    in ``taus`` and NaN rows in ``points``.  Chunks of CHUNK paths each own
-    stream (seed, stream_id, chunk); output is byte-identical for any
+    in ``taus`` and NaN rows in ``points``.  ``run_chunks`` draws chunk i
+    from stream (seed, stream_id, i); output is byte-identical for any
     ``workers``.
     """
 
-    def run(ci: int, lo: int, hi: int):
-        ex = euler_chunk(rng_stream(cfg.seed, cfg.stream_id, ci), x0, hi - lo, cfg.dt, cfg.n_steps, r)
+    def run(rng, c: int):
+        ex = euler_chunk(rng, x0, c, cfg.dt, cfg.n_steps, r)
         return (*exit_points(ex, r, cfg.dt), ex.censored)
 
-    return tuple(np.concatenate(part) for part in zip(*run_chunks(n_paths, run, workers)))
+    return run_chunks(cfg, n_paths, run, workers)
 
 
 def wos_exit_points(rng: np.random.Generator, x, r: float, n: int) -> np.ndarray:
@@ -416,30 +426,22 @@ def wos_from_many(rng: np.random.Generator, xs: np.ndarray, r: float) -> np.ndar
     return r * out
 
 
-def reflection_crossing_mc(
-    t: float,
-    lam: float,
-    dt: float,
-    n_paths: int,
-    seed: int,
-    stream_id: int = 0,
-    workers: int = 1,
-) -> McEstimate:
-    """Monte Carlo P(sup over [0, t] of a 1-d Brownian path >= lam).
+def reflection_crossing_mc(cfg: PathConfig, lam: float, n_paths: int, workers: int = 1) -> McEstimate:
+    """Monte Carlo P(sup over [0, t] of a 1-d Brownian path >= lam), t = cfg.horizon.
 
-    Euler steps of x1 up to the level lam, with the half-space bridge
-    correction for sub-step crossings, over round(t / dt) steps: the
-    empirical counterpart of ``reflection_prob``.
+    Euler steps of x1 from the origin of R^cfg.m (m = 1 suffices) up to the
+    level lam, with the half-space bridge correction for sub-step crossings,
+    over cfg.n_steps steps: the empirical counterpart of ``reflection_prob``.
     """
-    if not (t > 0.0 and lam > 0.0 and dt > 0.0):
-        raise ValueError("t, lam, dt must be positive")
+    if not lam > 0.0:
+        raise ValueError("lam must be positive")
 
-    def run(ci: int, lo: int, hi: int):
-        rng = rng_stream(seed, stream_id, ci)
-        ex = euler_chunk(rng, np.zeros(1), hi - lo, dt, int(round(t / dt)), lam, level=_first_coordinate)
-        return ~ex.censored
+    def run(rng, c: int):
+        ex = euler_chunk(rng, np.zeros(cfg.m), c, cfg.dt, cfg.n_steps, lam, level=_first_coordinate)
+        return (~ex.censored,)
 
-    p = float(np.mean(np.concatenate(run_chunks(n_paths, run, workers))))
+    (hit,) = run_chunks(cfg, n_paths, run, workers)
+    p = float(np.mean(hit))
     return McEstimate(p, binomial_se(p, n_paths), n_paths)
 
 
@@ -452,26 +454,19 @@ class ScalingReport:
     censored: int
 
 
-def scaling_check(
-    seed: int,
-    r: float,
-    n_paths: int,
-    dt: float = 1e-4,
-    m: int = 2,
-    horizon: float = 400.0,
-    workers: int = 1,
-) -> ScalingReport:
+def scaling_check(cfg: PathConfig, r: float, n_paths: int, workers: int = 1) -> ScalingReport:
     """Exit times from radius sqrt(r) against r times exit times from radius 1.
 
-    Time scaling says the two laws are equal; the report carries the
-    two-sample KS verdict and the two means.
+    Both start at the origin of R^cfg.m; the first sample draws from stream
+    cfg.stream_id and the second from cfg.stream_id + 1.  Time scaling says
+    the two laws are equal; the report carries the two-sample KS verdict and
+    the two means.
     """
     if not r > 0.0:
         raise ValueError("r must be positive")
-    cfg_a = PathConfig(m=m, dt=dt, horizon=horizon, seed=seed, stream_id=0)
-    cfg_b = PathConfig(m=m, dt=dt, horizon=horizon, seed=seed, stream_id=1)
-    tau_a, _, cen_a = exit_points_batch(cfg_a, np.zeros(m), math.sqrt(r), n_paths, workers)
-    tau_b, _, cen_b = exit_points_batch(cfg_b, np.zeros(m), 1.0, n_paths, workers)
+    x0 = np.zeros(cfg.m)
+    tau_a, _, cen_a = exit_points_batch(cfg, x0, math.sqrt(r), n_paths, workers)
+    tau_b, _, cen_b = exit_points_batch(replace(cfg, stream_id=cfg.stream_id + 1), x0, 1.0, n_paths, workers)
     a = tau_a[~cen_a]
     b = r * tau_b[~cen_b]
     ks = ks_two_sample(a, b)
@@ -491,18 +486,10 @@ class ContinuityReport:
 
 
 def exit_continuity_check(
-    seed: int,
-    x,
-    r1: float,
-    r2: float,
-    kappa: int,
-    n_paths: int,
-    dt: float = 1e-4,
-    horizon: float = 400.0,
-    stream_id: int = 0,
-    workers: int = 1,
+    cfg: PathConfig, x, r1: float, r2: float, kappa: int, n_paths: int, workers: int = 1
 ) -> ContinuityReport:
-    """Coupled exits from the nested balls D(0, r1) and D(0, r2).
+    """Coupled exits from the nested balls D(0, r1) and D(0, r2), paths from x
+    stepped under ``cfg`` for at most cfg.n_steps steps.
 
     Preconditions (checked, named on failure): 0 <= r2 - r1 < 2^(-kappa-1)
     and 2 Phi((r2 - r1) / sqrt(2^(-kappa-1))) - 1 < 2^(-kappa-1).  The report
@@ -526,22 +513,21 @@ def exit_continuity_check(
         raise ValueError("start must lie inside the inner ball")
     exceed_thr = 2.0 ** (-kappa + 4)
 
-    def run(ci: int, lo: int, hi: int):
-        tau1 = np.full(hi - lo, np.nan)
+    def run(rng, c: int):
+        tau1 = np.full(c, np.nan)
 
         def first_past_r1(rows, _xs, levels, t, valid):
             past = valid & (levels >= r1)
             first = np.flatnonzero(np.isnan(tau1[rows]) & past.any(axis=0))
-            tau1[rows[first]] = t + (past.take(first, axis=1).argmax(axis=0) + 1) * dt
+            tau1[rows[first]] = t + (past.take(first, axis=1).argmax(axis=0) + 1) * cfg.dt
 
-        rng = rng_stream(seed, stream_id, ci)
-        ex = euler_chunk(rng, x, hi - lo, dt, int(math.ceil(horizon / dt)), r2, bridge=False, observe=first_past_r1)
+        ex = euler_chunk(rng, x, c, cfg.dt, cfg.n_steps, r2, bridge=False, observe=first_past_r1)
         done = ~ex.censored
-        tau2 = ex.t0[done] + dt
+        tau2 = ex.t0[done] + cfg.dt
         # a path that passes r1 on its exit step has tau1 = tau2
-        return tau2 - np.where(np.isnan(tau1[done]), tau2, tau1[done])
+        return (tau2 - np.where(np.isnan(tau1[done]), tau2, tau1[done]),)
 
-    diffs = np.concatenate(run_chunks(n_paths, run, workers))
+    (diffs,) = run_chunks(cfg, n_paths, run, workers)
     bound = 2.0 ** (-kappa + 1)
     if not diffs.size:  # every path censored: no evidence, so the check fails
         return ContinuityReport(1.0, 0.0, bound, exceed_thr, False, math.nan)

@@ -22,7 +22,6 @@ from .brownian import PathConfig, euler_chunk, exit_points, run_chunks, tightnes
 from .harmonic import HarmonicFn, RateData
 from .sphere import eval_on_points
 from .stats import binomial_se
-from .streams import rng_stream
 
 VARIANTS = ("paper-133", "paper-step10", "conservative-min")
 
@@ -135,8 +134,7 @@ def limit_experiment(
     q_max = sched.q_max
     radii = sched.radii
 
-    def run(chunk_index: int, lo: int, hi: int):
-        c = hi - lo
+    def run(rng, c: int):
         umin = np.full((c, q_max), np.inf)
         umax = np.full((c, q_max), -np.inf)
         crossed = np.zeros((c, q_max), dtype=bool)
@@ -159,7 +157,6 @@ def limit_experiment(
             umax[wrows] = np.maximum(umax[wrows], np.where(inwin, uv[..., None], -np.inf).max(axis=0))
             crossed[wrows] = opened[-1]
 
-        rng = rng_stream(cfg.seed, cfg.stream_id, chunk_index)
         ex = euler_chunk(rng, np.zeros(cfg.m), c, cfg.dt, cfg.n_steps, r_trunc, observe=windows)
         _, exit_pts = exit_points(ex, r_trunc, cfg.dt)
         cen = ex.censored
@@ -174,7 +171,7 @@ def limit_experiment(
             gap[good] = np.abs(vhat[good] - eval_on_points(u.boundary_fn, exit_pts[good] / r_trunc))
         return dev, cen, gap
 
-    sup_dev, censored, trunc_gap = (np.concatenate(p) for p in zip(*run_chunks(n_paths, run, workers)))
+    sup_dev, censored, trunc_gap = run_chunks(cfg, n_paths, run, workers)
 
     n_cen = int(censored.sum())
     n_ok = n_paths - n_cen

@@ -164,20 +164,43 @@ class TestExitPointsBatch:
 class TestNoPaths:
     def test_entry_points_reject_fewer_than_one_path(self):
         cfg = PathConfig(m=2, dt=1e-3, horizon=10.0, seed=1)
+        unit = PathConfig(m=1, dt=1e-3, horizon=1.0, seed=1)
+        long = PathConfig(m=2, dt=1e-3, horizon=400.0, seed=1)
         u = zero_fn(2)
         sched = RadiusSchedule(1, np.array([0.5]), u.hardy, "paper-133")
         for n in (0, -5):
             calls = {
                 "exit_points_batch": lambda: exit_points_batch(cfg, np.zeros(2), 1.0, n),
-                "reflection_crossing_mc": lambda: reflection_crossing_mc(1.0, 1.0, 1e-3, n, seed=1),
-                "scaling_check": lambda: scaling_check(1, 1.0, n, dt=1e-3),
-                "exit_continuity_check": lambda: exit_continuity_check(1, np.zeros(2), 0.9, 0.9, 5, n, dt=1e-3),
+                "reflection_crossing_mc": lambda: reflection_crossing_mc(unit, 1.0, n),
+                "scaling_check": lambda: scaling_check(long, 1.0, n),
+                "exit_continuity_check": lambda: exit_continuity_check(long, np.zeros(2), 0.9, 0.9, 5, n),
                 "limit_experiment": lambda: limit_experiment(u, sched, cfg, n, 0.9),
             }
             for name, call in calls.items():
                 with pytest.raises(ValueError, match="n_paths must be >= 1"):
                     call()
                     pytest.fail(f"{name} accepted n_paths={n}")
+
+    def test_entry_points_reject_nonpositive_dt(self):
+        # every Euler entry point takes its dt inside a PathConfig
+        u = zero_fn(2)
+        sched = RadiusSchedule(1, np.array([0.5]), u.hardy, "paper-133")
+        for dt in (0.0, -1e-3):
+            def cfg(m=2, dt=dt):
+                return PathConfig(m=m, dt=dt, horizon=10.0, seed=1)
+
+            calls = {
+                "simulate_exit": lambda: simulate_exit(cfg(), np.zeros(2), 1.0),
+                "exit_points_batch": lambda: exit_points_batch(cfg(), np.zeros(2), 1.0, 10),
+                "reflection_crossing_mc": lambda: reflection_crossing_mc(cfg(m=1), 1.0, 10),
+                "scaling_check": lambda: scaling_check(cfg(), 1.0, 10),
+                "exit_continuity_check": lambda: exit_continuity_check(cfg(), np.zeros(2), 0.9, 0.9, 5, 10),
+                "limit_experiment": lambda: limit_experiment(u, sched, cfg(), 10, 0.9),
+            }
+            for name, call in calls.items():
+                with pytest.raises(ValueError, match="dt must be positive"):
+                    call()
+                    pytest.fail(f"{name} accepted dt={dt}")
 
 
 class TestEulerChunk:
@@ -272,15 +295,6 @@ class TestWalkOnSpheres:
         z = wos_exit_points(rng, np.array([0.5, 0.0]), 1.0, 100_000)
         est = mc_estimate(z[:, 0])
         assert abs(est.mean - 0.5) <= 3 * est.std_error
-
-    def test_density_ratio_within_extremal_bounds(self):
-        rng = rng_stream(14)
-        x = np.array([0.4, 0.2, 0.0])
-        s = np.linalg.norm(x)
-        z = wos_exit_points(rng, x, 1.0, 5000)
-        lo, hi = (1 - s**2) / (1 + s) ** 3, (1 - s**2) / (1 - s) ** 3
-        dens = (1 - s**2) / np.linalg.norm(z - x, axis=1) ** 3
-        assert np.all(dens >= lo - 1e-12) and np.all(dens <= hi + 1e-12)
 
     def test_scaled_radius(self):
         rng = rng_stream(15)
@@ -396,6 +410,7 @@ class TestWalkOnSpheres:
     def test_mean_is_the_start_off_the_axes(self, m):
         x = 0.8 * np.linspace(1.0, 2.0, m) / np.linalg.norm(np.linspace(1.0, 2.0, m))
         z = wos_exit_points(rng_stream(20260809, 21, m), x, 1.0, 40_000)
+        assert np.max(np.abs(np.linalg.norm(z, axis=1) - 1.0)) <= 1e-12
         se = z.std(axis=0) / math.sqrt(z.shape[0])
         assert np.all(np.abs(z.mean(axis=0) - x) <= 3.0 * se), (z.mean(axis=0) - x) / se
 
@@ -435,22 +450,23 @@ class TestEngineAgreement:
 
 class TestReflectionMc:
     def test_crossing_probability(self):
-        est = reflection_crossing_mc(1.0, 1.0, 1e-4, 4000, seed=20260809)
+        est = reflection_crossing_mc(PathConfig(m=1, dt=1e-4, horizon=1.0, seed=20260809), 1.0, 4000)
         assert abs(est.mean - reflection_prob(1.0, 1.0)) <= 3 * est.std_error + 0.004
 
     def test_worker_invariance(self):
-        a = reflection_crossing_mc(1.0, 1.0, 1e-3, 20_000, seed=5, workers=1)
-        b = reflection_crossing_mc(1.0, 1.0, 1e-3, 20_000, seed=5, workers=4)
+        cfg = PathConfig(m=1, dt=1e-3, horizon=1.0, seed=5)
+        a = reflection_crossing_mc(cfg, 1.0, 20_000, workers=1)
+        b = reflection_crossing_mc(cfg, 1.0, 20_000, workers=4)
         assert a == b
 
 
 class TestScaling:
     def test_same_radius_same_law(self):
-        rep = scaling_check(20260809, 1.0, 2000, dt=5e-4, m=2, horizon=200.0)
+        rep = scaling_check(PathConfig(m=2, dt=5e-4, horizon=200.0, seed=20260809), 1.0, 2000)
         assert rep.ks.passed
 
     def test_radius_two_vs_four_tau_unit(self):
-        rep = scaling_check(20260810, 4.0, 2000, dt=5e-4, m=2, horizon=400.0)
+        rep = scaling_check(PathConfig(m=2, dt=5e-4, horizon=400.0, seed=20260810), 4.0, 2000)
         assert rep.ks.passed
         assert abs(rep.mean_scaled - rep.mean_unit_scaled) <= 3 * rep.mean_se + 0.02
         assert rep.censored == 0
@@ -460,24 +476,25 @@ class TestExitContinuity:
     def test_spec_preconditions_enforced(self):
         # the gap 0.9 * 2^-4 = 0.05625 pushes the CDF statistic to 0.1264,
         # just over the 2^-(kappa+1) = 0.125 requirement
+        cfg = PathConfig(m=2, dt=1e-4, horizon=400.0, seed=1)
         with pytest.raises(ValueError, match="precondition"):
-            exit_continuity_check(1, np.zeros(2), 0.9, 0.9 + 0.05625, 2, 100)
+            exit_continuity_check(cfg, np.zeros(2), 0.9, 0.9 + 0.05625, 2, 100)
         with pytest.raises(ValueError, match="precondition"):
-            exit_continuity_check(1, np.zeros(2), 0.9, 0.9 + 0.2, 2, 100)
+            exit_continuity_check(cfg, np.zeros(2), 0.9, 0.9 + 0.2, 2, 100)
 
     def test_zero_gap_has_zero_exceedance(self):
-        rep = exit_continuity_check(2, np.zeros(2), 0.9, 0.9, 5, 400, dt=1e-3, horizon=100.0)
+        rep = exit_continuity_check(PathConfig(m=2, dt=1e-3, horizon=100.0, seed=2), np.zeros(2), 0.9, 0.9, 5, 400)
         assert rep.exceedance == 0.0
         assert rep.min_diff == 0.0
 
     def test_compliant_gap_bound_holds(self):
-        rep = exit_continuity_check(3, np.zeros(2), 0.9, 0.945, 2, 2000, dt=5e-4, horizon=100.0)
+        rep = exit_continuity_check(PathConfig(m=2, dt=5e-4, horizon=100.0, seed=3), np.zeros(2), 0.9, 0.945, 2, 2000)
         assert rep.min_diff >= 0.0
         assert rep.passed
         assert rep.bound == 0.5 and rep.gap_bound == 4.0
 
     def test_worker_invariance(self):
-        args = (4, np.zeros(2), 0.9, 0.945, 2, 9000, 1e-3, 100.0)
+        args = (PathConfig(m=2, dt=1e-3, horizon=100.0, seed=4), np.zeros(2), 0.9, 0.945, 2, 9000)
         a = exit_continuity_check(*args, workers=1)
         b = exit_continuity_check(*args, workers=3)
         assert a == b

@@ -206,7 +206,9 @@ SMALL_ARGS = {
 
 
 class TestStreams:
-    def test_no_two_suites_share_a_stream(self, tmp_path, monkeypatch):
+    @pytest.fixture(scope="class")
+    def users(self, tmp_path_factory):
+        """Every stream key the suites draw at SMALL_ARGS -> the suites that drew it."""
         users: dict = {}
         current = []
 
@@ -214,15 +216,33 @@ class TestStreams:
             users.setdefault((seed, *key), set()).add(current[-1])
             return rng_stream(seed, *key)
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("ballwalk") and getattr(module, "rng_stream", None) is rng_stream:
-                monkeypatch.setattr(module, "rng_stream", recording)
-        for suite in SUITES:
-            current.append(suite)
-            assert run_cli(suite, "--out", str(tmp_path), *SMALL_ARGS[suite]) in (0, 1)
+        out = tmp_path_factory.mktemp("streams")
+        with pytest.MonkeyPatch.context() as mp:
+            for name, module in list(sys.modules.items()):
+                if name.startswith("ballwalk") and getattr(module, "rng_stream", None) is rng_stream:
+                    mp.setattr(module, "rng_stream", recording)
+            for suite in SUITES:
+                current.append(suite)
+                assert run_cli(suite, "--out", str(out), *SMALL_ARGS[suite]) in (0, 1)
+        return users
+
+    def test_no_two_suites_share_a_stream(self, users):
         assert set(SMALL_ARGS) == set(SUITES)
         shared = {key: sorted(suites) for key, suites in users.items() if len(suites) > 1}
         assert not shared
+
+    def test_streams_lists_every_keyed_stream(self, users):
+        # a stream (seed, id, ...) at the suite's seed has its id in one of the suite's
+        # STREAMS ranges; constants' unkeyed mc_surface_area(seed + m) streams are the exception
+        seed = RunConfig().seed
+        listed = {suite: {i for name, ids in STREAMS.items() if name.split("/")[0] == suite for i in ids}
+                  for suite in SUITES}
+        for (s, *key), suites in users.items():
+            for suite in suites:
+                if key and s == seed:
+                    assert key[0] in listed[suite], (suite, s, *key)
+                else:
+                    assert suite == "constants" and not key and s - seed in (4, 5), (suite, s, *key)
 
     def test_stream_ranges_never_overlap(self):
         ids = [i for ids in STREAMS.values() for i in ids]
@@ -278,6 +298,28 @@ class TestScripts:
         assert all(c["exits_per_s"] > 0 for c in cells.values())
 
 
+class TestTracerHooks:
+    def test_euler_exit_trace_counts_the_paths_it_ran(self, tmp_path):
+        # perfbench/spans.py reads n_paths from the arguments of reflection_crossing_mc and
+        # exit_continuity_check; a call that moves it breaks the hook or miscounts the paths
+        root = Path(__file__).resolve().parents[1]
+        src = str(root / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        trace = tmp_path / "trace.json"
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "child.py"), "--workload", "euler-exit", "--seed", "1",
+             "--out", str(tmp_path), "--trace", str(trace)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        steps = json.loads((tmp_path / "_child.json").read_text())["steps"]
+        assert steps and {step["code"] for step in steps.values()} <= {0, 1}
+        figures = json.loads(trace.read_text())
+        for fn, paths in (("reflection_crossing_mc", 100), ("exit_continuity_check", 300)):
+            per_s, self_s = figures[f"brownian.{fn}.paths_per_s"][0], figures[f"brownian.{fn}.self_s"][0]
+            assert round(per_s * self_s) == paths, fn
+
+
 class TestGoldenOutputs:
     """Every suite output at SMALL_ARGS and seed 20260809, pinned by sha256.
 
@@ -295,7 +337,7 @@ class TestGoldenOutputs:
         "exit-dist.csv": "1a7251cee74b12b9c1d56affc3ca9ca30b7071455d04a6668419372cd5e7cc92",
         "exit-dist.json": "4c71ce19165098d733137da7da0a30b0e0225a4ee47c72e3d9c3f2a4c4c83cad",
         "hardy-limit.csv": "d1b49d9d31fbd9646817d5606f43069f7bd3e20e3d5321e3b489c43d7a192b87",
-        "hardy-limit.json": "a953a77b5fbdc71124e4eef9d13913240271eddb06042a33dc080f29df1a515a",
+        "hardy-limit.json": "1fc8d70c911d0ce7e022e22640aad026869e707df2dc136a69a5c07afa1a9a85",
         "martingale.csv": "366f7ade751db6b91b3efa0e975a094638eade63f60ad66267d93f889342776f",
         "martingale.json": "0654e5059046ed46c304113070a9de7c8773160790a31d3855adc21c9bf9a907",
         "reflection.csv": "3f94f20a88d6d93aa79bce42e70b5f4f52cb24c0ebdfa073e3cab76e0bc7bae8",
