@@ -15,10 +15,11 @@ chunk of paths, many time steps per numpy call, until a level (|x|, or x1
 for a half-line) reaches a bound; ``exit_points`` turns its exit steps into
 exit times and sphere points.
 Every discretized-path check takes a ``PathConfig``, whose ``n_steps`` is
-the one step count, and runs its chunks of CHUNK paths through
-``run_chunks``, which alone keys chunk i's Philox stream by (seed,
-stream_id, i).  Results are a function of (seed, stream_id, config) alone,
-independent of how chunks are scheduled across workers.
+the one step count.  The many-path checks run their chunks of CHUNK paths
+through ``run_chunks``, which alone keys chunk i's Philox stream by (seed,
+stream_id, i); ``simulate_exit`` draws its one path from the stream (seed,
+stream_id) itself.  Results are a function of (seed, stream_id, config)
+alone, independent of how chunks are scheduled across workers.
 """
 
 from __future__ import annotations
@@ -106,8 +107,6 @@ class PathConfig:
 class ExitEvent:
     tau: float
     exit_point: np.ndarray
-    method: str
-    dt_used: float | None = None
 
 
 @dataclass(frozen=True)
@@ -280,15 +279,16 @@ def exit_points(ex: ChunkExits, r: float, dt: float) -> tuple[np.ndarray, np.nda
     return tau, pts
 
 
-def simulate_exit(cfg: PathConfig, x0, r: float):
-    """One discretized path until it leaves D(0, r); returns (event, trace).
+def simulate_exit(cfg: PathConfig, r: float):
+    """One discretized path from the origin until it leaves D(0, r); returns (event, trace).
 
     The trace rows are (t, x_1 .. x_m) including the start and the exit (or
-    censoring) point.  The path is one row of ``euler_chunk`` on the stream
-    (seed, stream_id), with the exit placed by ``exit_points``.
+    censoring) point.  The path is one row of ``euler_chunk`` drawn from the
+    stream (seed, stream_id), not through ``run_chunks``, with the exit
+    placed by ``exit_points``.
     """
-    x0 = np.asarray(x0, dtype=float)
-    rows = [np.concatenate([[0.0], x0])[None]]
+    x0 = np.zeros(cfg.m)
+    rows = [np.zeros((1, cfg.m + 1))]
 
     def trace(_rows, xs, _levels, t, valid):
         k = int(valid[:, 0].sum())
@@ -299,7 +299,7 @@ def simulate_exit(cfg: PathConfig, x0, r: float):
         return CensoredExit(elapsed=float(ex.t0[0])), np.concatenate(rows)
     tau, pts = exit_points(ex, r, cfg.dt)
     rows.append(np.concatenate([tau[:1], pts[0]])[None])
-    return ExitEvent(float(tau[0]), pts[0], "discretized", cfg.dt), np.concatenate(rows)
+    return ExitEvent(float(tau[0]), pts[0]), np.concatenate(rows)
 
 
 def exit_points_batch(cfg: PathConfig, x0, r: float, n_paths: int, workers: int = 1):
@@ -308,8 +308,10 @@ def exit_points_batch(cfg: PathConfig, x0, r: float, n_paths: int, workers: int 
     Returns (taus, points, censored): censored paths carry the elapsed time
     in ``taus`` and NaN rows in ``points``.  ``run_chunks`` draws chunk i
     from stream (seed, stream_id, i); output is byte-identical for any
-    ``workers``.
+    ``workers``.  Raises ValueError unless x0 has cfg.m coordinates.
     """
+    if np.shape(x0) != (cfg.m,):
+        raise ValueError(f"x0 must have cfg.m = {cfg.m} coordinates, got shape {np.shape(x0)}")
 
     def run(rng, c: int):
         ex = euler_chunk(rng, x0, c, cfg.dt, cfg.n_steps, r)
@@ -481,15 +483,14 @@ class ContinuityReport:
     exceedance_se: float
     bound: float
     gap_bound: float
-    passed: bool
     min_diff: float
 
 
 def exit_continuity_check(
-    cfg: PathConfig, x, r1: float, r2: float, kappa: int, n_paths: int, workers: int = 1
+    cfg: PathConfig, r1: float, r2: float, kappa: int, n_paths: int, workers: int = 1
 ) -> ContinuityReport:
-    """Coupled exits from the nested balls D(0, r1) and D(0, r2), paths from x
-    stepped under ``cfg`` for at most cfg.n_steps steps.
+    """Coupled exits from the nested balls D(0, r1) and D(0, r2), paths from
+    the origin stepped under ``cfg`` for at most cfg.n_steps steps.
 
     Preconditions (checked, named on failure): 0 <= r2 - r1 < 2^(-kappa-1)
     and 2 Phi((r2 - r1) / sqrt(2^(-kappa-1))) - 1 < 2^(-kappa-1).  The report
@@ -497,9 +498,10 @@ def exit_continuity_check(
     2^(-kappa+1).  Both crossings are grid times read off the same Euler
     path (no bridge correction), so the coupling is exact and tau2 >= tau1
     pathwise by construction.  When the horizon censors every path there is
-    no evidence: exceedance 1.0, not passed, and min_diff NaN.
+    no evidence: exceedance 1.0, above every bound, and min_diff NaN.
     """
-    x = np.asarray(x, dtype=float)
+    if not r1 > 0.0:
+        raise ValueError("r1 must be positive: the origin must lie inside the inner ball")
     gap = r2 - r1
     half = 2.0 ** (-kappa - 1)
     if not 0.0 <= gap < half:
@@ -509,8 +511,6 @@ def exit_continuity_check(
         raise ValueError(
             f"precondition failed: 2 Phi((r2-r1)/sqrt(2^-(kappa+1))) - 1 = {stat:.6f} >= {half}"
         )
-    if not float(np.linalg.norm(x)) < r1:
-        raise ValueError("start must lie inside the inner ball")
     exceed_thr = 2.0 ** (-kappa + 4)
 
     def run(rng, c: int):
@@ -521,7 +521,7 @@ def exit_continuity_check(
             first = np.flatnonzero(np.isnan(tau1[rows]) & past.any(axis=0))
             tau1[rows[first]] = t + (past.take(first, axis=1).argmax(axis=0) + 1) * cfg.dt
 
-        ex = euler_chunk(rng, x, c, cfg.dt, cfg.n_steps, r2, bridge=False, observe=first_past_r1)
+        ex = euler_chunk(rng, np.zeros(cfg.m), c, cfg.dt, cfg.n_steps, r2, bridge=False, observe=first_past_r1)
         done = ~ex.censored
         tau2 = ex.t0[done] + cfg.dt
         # a path that passes r1 on its exit step has tau1 = tau2
@@ -530,7 +530,7 @@ def exit_continuity_check(
     (diffs,) = run_chunks(cfg, n_paths, run, workers)
     bound = 2.0 ** (-kappa + 1)
     if not diffs.size:  # every path censored: no evidence, so the check fails
-        return ContinuityReport(1.0, 0.0, bound, exceed_thr, False, math.nan)
+        return ContinuityReport(1.0, 0.0, bound, exceed_thr, math.nan)
     p = int(np.sum(diffs > exceed_thr)) / diffs.size
     se = binomial_se(p, diffs.size)
-    return ContinuityReport(p, se, bound, exceed_thr, p <= bound + 3.0 * se, float(np.min(diffs)))
+    return ContinuityReport(p, se, bound, exceed_thr, float(np.min(diffs)))

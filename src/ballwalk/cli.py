@@ -261,7 +261,7 @@ def suite_exit_dist(cfg: RunConfig, out: Path) -> bool:
     ks2 = ks_two_sample(pts2[~cen2, 0], zw2[:, 0])
     verdicts.append(ks_below("discretized and exact exit engines sample the same z1 law (KS at 5%)", ks2))
     # export one demo path trace as (t, x1..xm) rows
-    event, trace = simulate_exit(cfg.path("exit-dist/trace", m=2), np.zeros(2), 1.0)
+    event, trace = simulate_exit(cfg.path("exit-dist/trace", m=2), 1.0)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(
         out / "exit-dist-trace.csv",
@@ -316,9 +316,7 @@ def suite_scaling(cfg: RunConfig, out: Path) -> bool:
 
 def suite_continuity(cfg: RunConfig, out: Path) -> bool:
     kappa, r1, gap = 2, 0.9, 0.045
-    rep = exit_continuity_check(
-        cfg.path("continuity"), np.zeros(cfg.m), r1, r1 + gap, kappa, n_paths=cfg.n_paths, workers=cfg.workers
-    )
+    rep = exit_continuity_check(cfg.path("continuity"), r1, r1 + gap, kappa, n_paths=cfg.n_paths, workers=cfg.workers)
     claim = "P(tau'' - tau' > 2^(4-kappa)) <= 2^(1-kappa) for nested balls (kappa=2)"
     verdicts = [
         at_most(claim, rep.bound, rep.exceedance, rep.bound + 3 * rep.exceedance_se),
@@ -397,12 +395,11 @@ def suite_martingale(cfg: RunConfig, out: Path) -> bool:
 def suite_hardy_limit(cfg: RunConfig, out: Path) -> bool:
     verdicts = []
     rows = []
-    slice_quad = SurfaceQuadrature(2, 1.0, "chart-gauss", 1024)
     cat = catalog(2, with_rates=False)
     zero = zero_fn(2)
     members = {
         "x1": (cat[0], estimate_rates(cat[0])),
-        "poisson-slice": (cat[-1], estimate_rates(cat[-1], quad=slice_quad)),
+        "poisson-slice": (cat[-1], estimate_rates(cat[-1])),
         "zero": (zero, zero.hardy),
     }
     for i, (name, (fn, rates)) in enumerate(members.items()):

@@ -40,14 +40,13 @@ def gamma_limit(rates: RateData) -> float:
 
 @dataclass(frozen=True)
 class RadiusSchedule:
-    q_max: int
+    """The radii r_1 < ... < r_q_max, one per q."""
+
     radii: np.ndarray
-    rate_source: RateData
-    variant: str
 
     def __post_init__(self):
         r = np.asarray(self.radii, dtype=float)
-        if r.size != self.q_max or np.any(np.diff(r) <= 0) or r[0] <= 0 or r[-1] >= 1:
+        if r.ndim != 1 or r.size < 1 or np.any(np.diff(r) <= 0) or r[0] <= 0 or r[-1] >= 1:
             raise ValueError("radii must be strictly increasing in (0, 1), one per q")
         object.__setattr__(self, "radii", r)
 
@@ -89,7 +88,7 @@ def radius_schedule(rates: RateData, q_max: int, variant: str = "conservative-mi
             raise ValueError(f"schedule escaped (0, 1) at q={q}: rates too coarse for q_max")
         radii.append(r)
         prev = r
-    return RadiusSchedule(q_max=q_max, radii=np.array(radii), rate_source=rates, variant=variant)
+    return RadiusSchedule(np.array(radii))
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,6 @@ class LimitReport:
     censor_allowance: float
     censor_ok: bool
     truncation_gap: float | None
-    passed: bool
 
 
 def limit_experiment(
@@ -131,8 +129,8 @@ def limit_experiment(
     """
     if not sched.radii[-1] < r_trunc < 1.0:
         raise ValueError("need max schedule radius < r_trunc < 1")
-    q_max = sched.q_max
     radii = sched.radii
+    q_max = radii.size
 
     def run(rng, c: int):
         umin = np.full((c, q_max), np.inf)
@@ -176,16 +174,13 @@ def limit_experiment(
     n_cen = int(censored.sum())
     n_ok = n_paths - n_cen
     rows: list[LimitRow] = []
-    all_pass = True
     for j in range(q_max):
         bound = 2.0 ** (-(j + 1) + 4)
         thr = 2.0 ** (-(j + 1) + 3)
         devs = sup_dev[~censored, j]
         p = float(np.mean(devs > thr)) if n_ok else 1.0
         se = binomial_se(p, max(n_ok, 1))
-        ok = p <= bound + 3.0 * se
-        all_pass &= ok
-        rows.append(LimitRow(j + 1, float(radii[j]), bound, p, se, ok))
+        rows.append(LimitRow(j + 1, float(radii[j]), bound, p, se, p <= bound + 3.0 * se))
 
     # Tightness allowance: the sharpest bound 2^(1-k) whose N_{2,k} the horizon clears.
     k = 0
@@ -203,5 +198,4 @@ def limit_experiment(
         censor_allowance=allowance,
         censor_ok=cen_ok,
         truncation_gap=gap,
-        passed=all_pass and cen_ok,
     )

@@ -36,7 +36,6 @@ class RateData:
     delta1: Callable[[float], float]
     b2: float
     delta2: Callable[[float], float]
-    p: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -128,7 +127,7 @@ def laplacian_fd(u, x, h: float = tol.FD_STEP) -> float:
 
 
 def hardy_integrals(u, r: float, quad: SurfaceQuadrature) -> tuple[float, float, float]:
-    """(I1, I2, I3) at radius r: one row of ``hardy_table``, with its errors."""
+    """(I1, I2, I3) at radius r: ``hardy_table`` on the one-radius grid [r]."""
     i1, i2, i3 = hardy_table(u, [r], quad)
     return float(i1[0]), float(i2[0]), float(i3[0])
 
@@ -162,7 +161,6 @@ def estimate_rates(
     u,
     r_grid=None,
     quad: SurfaceQuadrature | None = None,
-    p: float = 1.0,
 ) -> RateData:
     """Numerical RateData for u from its boundary integrals on a radius grid.
 
@@ -227,7 +225,6 @@ def estimate_rates(
         delta1=_step_inverse(b1, i1),
         b2=b2,
         delta2=_step_inverse(b2, i2),
-        p=p,
     )
 
 

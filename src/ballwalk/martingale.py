@@ -32,23 +32,21 @@ def lambda_bar(v):
     a = np.abs(np.asarray(v, dtype=float))
     small = a < _SERIES_CUTOFF
     out = np.empty_like(a)
-    s = a[small]
-    out[small] = 0.5 * s * s * (1.0 - (s / 3.0) * (1.0 - (s / 4.0) * (1.0 - s / 5.0)))
-    big = a[~small]
-    out[~small] = np.expm1(-big) + big
+    out[small] = lambda_bar_series(a[small])
+    out[~small] = lambda_bar_closed(a[~small])
     return float(out) if np.isscalar(v) or np.asarray(v).ndim == 0 else out
 
 
-def lambda_bar_series(v: float) -> float:
-    """Series branch regardless of magnitude (exposed for branch-agreement tests)."""
-    s = abs(float(v))
+def lambda_bar_series(v):
+    """Series branch of ``lambda_bar`` regardless of magnitude, elementwise."""
+    s = np.abs(np.asarray(v, dtype=float))
     return 0.5 * s * s * (1.0 - (s / 3.0) * (1.0 - (s / 4.0) * (1.0 - s / 5.0)))
 
 
-def lambda_bar_closed(v: float) -> float:
-    """Closed-form branch regardless of magnitude."""
-    s = abs(float(v))
-    return float(np.expm1(-s) + s)
+def lambda_bar_closed(v):
+    """Closed-form branch of ``lambda_bar`` regardless of magnitude, elementwise."""
+    s = np.abs(np.asarray(v, dtype=float))
+    return np.expm1(-s) + s
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
-"""Monte Carlo estimates and Kolmogorov-Smirnov checks.
+"""Monte Carlo estimates and Kolmogorov-Smirnov statistics.
 
 Every statistical acceptance test in this package runs through these two
 primitives at fixed 5% asymptotic thresholds and sample sizes where the
-asymptotics are safe.
+asymptotics are safe; a KS report carries its statistic and threshold, and
+the caller compares them.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ class McEstimate:
 class KsReport:
     statistic: float
     threshold: float
-    passed: bool
-    n: int
 
 
 def mc_estimate(samples) -> McEstimate:
@@ -62,7 +61,7 @@ def binomial_se(p: float, n) -> float:
 
 
 def ks_one_sample(samples, cdf: Callable) -> KsReport:
-    """Sup-norm distance of the empirical CDF from ``cdf``, 5% verdict.
+    """Sup-norm distance of the empirical CDF from ``cdf``, with its 5% threshold.
 
     Threshold 1.36 / sqrt(n); requires n >= 50 so the asymptotic threshold
     is meaningful.  ``cdf`` is called once on the sorted sample and must
@@ -78,7 +77,7 @@ def ks_one_sample(samples, cdf: Callable) -> KsReport:
     grid = np.arange(1, n + 1) / n
     d = float(max(np.max(grid - f), np.max(f - (grid - 1.0 / n))))
     thr = KS_COEFF_5PCT / math.sqrt(n)
-    return KsReport(d, thr, d < thr, n)
+    return KsReport(d, thr)
 
 
 def ks_two_sample(a, b) -> KsReport:
@@ -93,4 +92,4 @@ def ks_two_sample(a, b) -> KsReport:
     fb = np.searchsorted(ys, both, side="right") / nb
     d = float(np.max(np.abs(fa - fb)))
     thr = KS_COEFF_5PCT * math.sqrt((na + nb) / (na * nb))
-    return KsReport(d, thr, d < thr, na + nb)
+    return KsReport(d, thr)

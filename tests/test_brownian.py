@@ -110,7 +110,7 @@ class TestSimulateExit:
     CFG = PathConfig(m=2, dt=1e-3, horizon=50.0, seed=99)
 
     def test_exit_on_sphere_with_trace(self):
-        event, trace = simulate_exit(self.CFG, np.zeros(2), 1.0)
+        event, trace = simulate_exit(self.CFG, 1.0)
         assert isinstance(event, ExitEvent)
         assert abs(np.linalg.norm(event.exit_point) - 1.0) <= 1e-9
         assert event.tau > 0
@@ -119,18 +119,20 @@ class TestSimulateExit:
 
     def test_censoring(self):
         cfg = PathConfig(m=2, dt=1e-3, horizon=0.002, seed=99)
-        event, trace = simulate_exit(cfg, np.zeros(2), 5.0)
+        event, trace = simulate_exit(cfg, 5.0)
         assert isinstance(event, CensoredExit)
         assert event.elapsed >= 0.002
 
     def test_deterministic(self):
-        a, _ = simulate_exit(self.CFG, np.zeros(2), 1.0)
-        b, _ = simulate_exit(self.CFG, np.zeros(2), 1.0)
+        a, _ = simulate_exit(self.CFG, 1.0)
+        b, _ = simulate_exit(self.CFG, 1.0)
         assert a.tau == b.tau and np.array_equal(a.exit_point, b.exit_point)
 
     def test_start_outside_rejected(self):
-        with pytest.raises(ValueError):
-            simulate_exit(self.CFG, np.array([2.0, 0.0]), 1.0)
+        # the path starts at the origin, which no ball D(0, r) with r <= 0 holds
+        for r in (0.0, -1.0):
+            with pytest.raises(ValueError, match="start must lie in the open ball"):
+                simulate_exit(self.CFG, r)
 
 
 class TestExitPointsBatch:
@@ -153,6 +155,12 @@ class TestExitPointsBatch:
         digest = hashlib.sha256(b"".join(x.tobytes() for x in a)).hexdigest()
         assert digest == "7d2b6e071e8643a6d354ca709df72089051321f4bcf3b19f4e371604b49b42c5"
 
+    def test_start_of_another_dimension_rejected(self):
+        cfg = PathConfig(m=3, dt=1e-3, horizon=10.0, seed=1)
+        for x0 in (np.zeros(2), np.zeros(4), np.zeros((1, 3))):
+            with pytest.raises(ValueError, match="coordinates"):
+                exit_points_batch(cfg, x0, 1.0, 5)
+
     def test_mean_exit_time(self):
         # E tau from the center of the unit ball is 1/m
         cfg = PathConfig(m=3, dt=2e-4, horizon=100.0, seed=10)
@@ -167,13 +175,13 @@ class TestNoPaths:
         unit = PathConfig(m=1, dt=1e-3, horizon=1.0, seed=1)
         long = PathConfig(m=2, dt=1e-3, horizon=400.0, seed=1)
         u = zero_fn(2)
-        sched = RadiusSchedule(1, np.array([0.5]), u.hardy, "paper-133")
+        sched = RadiusSchedule(np.array([0.5]))
         for n in (0, -5):
             calls = {
                 "exit_points_batch": lambda: exit_points_batch(cfg, np.zeros(2), 1.0, n),
                 "reflection_crossing_mc": lambda: reflection_crossing_mc(unit, 1.0, n),
                 "scaling_check": lambda: scaling_check(long, 1.0, n),
-                "exit_continuity_check": lambda: exit_continuity_check(long, np.zeros(2), 0.9, 0.9, 5, n),
+                "exit_continuity_check": lambda: exit_continuity_check(long, 0.9, 0.9, 5, n),
                 "limit_experiment": lambda: limit_experiment(u, sched, cfg, n, 0.9),
             }
             for name, call in calls.items():
@@ -184,17 +192,17 @@ class TestNoPaths:
     def test_entry_points_reject_nonpositive_dt(self):
         # every Euler entry point takes its dt inside a PathConfig
         u = zero_fn(2)
-        sched = RadiusSchedule(1, np.array([0.5]), u.hardy, "paper-133")
+        sched = RadiusSchedule(np.array([0.5]))
         for dt in (0.0, -1e-3):
             def cfg(m=2, dt=dt):
                 return PathConfig(m=m, dt=dt, horizon=10.0, seed=1)
 
             calls = {
-                "simulate_exit": lambda: simulate_exit(cfg(), np.zeros(2), 1.0),
+                "simulate_exit": lambda: simulate_exit(cfg(), 1.0),
                 "exit_points_batch": lambda: exit_points_batch(cfg(), np.zeros(2), 1.0, 10),
                 "reflection_crossing_mc": lambda: reflection_crossing_mc(cfg(m=1), 1.0, 10),
                 "scaling_check": lambda: scaling_check(cfg(), 1.0, 10),
-                "exit_continuity_check": lambda: exit_continuity_check(cfg(), np.zeros(2), 0.9, 0.9, 5, 10),
+                "exit_continuity_check": lambda: exit_continuity_check(cfg(), 0.9, 0.9, 5, 10),
                 "limit_experiment": lambda: limit_experiment(u, sched, cfg(), 10, 0.9),
             }
             for name, call in calls.items():
@@ -445,7 +453,7 @@ class TestEngineAgreement:
         rng = rng_stream(20260809, 4)
         zw = wos_exit_points(rng, np.array([0.5, 0.0]), 1.0, 16_000)
         rep = ks_two_sample(pts[~cen, 0], zw[:, 0])
-        assert rep.passed
+        assert rep.statistic < rep.threshold
 
 
 class TestReflectionMc:
@@ -463,11 +471,11 @@ class TestReflectionMc:
 class TestScaling:
     def test_same_radius_same_law(self):
         rep = scaling_check(PathConfig(m=2, dt=5e-4, horizon=200.0, seed=20260809), 1.0, 2000)
-        assert rep.ks.passed
+        assert rep.ks.statistic < rep.ks.threshold
 
     def test_radius_two_vs_four_tau_unit(self):
         rep = scaling_check(PathConfig(m=2, dt=5e-4, horizon=400.0, seed=20260810), 4.0, 2000)
-        assert rep.ks.passed
+        assert rep.ks.statistic < rep.ks.threshold
         assert abs(rep.mean_scaled - rep.mean_unit_scaled) <= 3 * rep.mean_se + 0.02
         assert rep.censored == 0
 
@@ -478,23 +486,26 @@ class TestExitContinuity:
         # just over the 2^-(kappa+1) = 0.125 requirement
         cfg = PathConfig(m=2, dt=1e-4, horizon=400.0, seed=1)
         with pytest.raises(ValueError, match="precondition"):
-            exit_continuity_check(cfg, np.zeros(2), 0.9, 0.9 + 0.05625, 2, 100)
+            exit_continuity_check(cfg, 0.9, 0.9 + 0.05625, 2, 100)
         with pytest.raises(ValueError, match="precondition"):
-            exit_continuity_check(cfg, np.zeros(2), 0.9, 0.9 + 0.2, 2, 100)
+            exit_continuity_check(cfg, 0.9, 0.9 + 0.2, 2, 100)
+        # the paths start at the origin, which must lie inside D(0, r1)
+        with pytest.raises(ValueError, match="inner ball"):
+            exit_continuity_check(cfg, 0.0, 0.0, 2, 100)
 
     def test_zero_gap_has_zero_exceedance(self):
-        rep = exit_continuity_check(PathConfig(m=2, dt=1e-3, horizon=100.0, seed=2), np.zeros(2), 0.9, 0.9, 5, 400)
+        rep = exit_continuity_check(PathConfig(m=2, dt=1e-3, horizon=100.0, seed=2), 0.9, 0.9, 5, 400)
         assert rep.exceedance == 0.0
         assert rep.min_diff == 0.0
 
     def test_compliant_gap_bound_holds(self):
-        rep = exit_continuity_check(PathConfig(m=2, dt=5e-4, horizon=100.0, seed=3), np.zeros(2), 0.9, 0.945, 2, 2000)
+        rep = exit_continuity_check(PathConfig(m=2, dt=5e-4, horizon=100.0, seed=3), 0.9, 0.945, 2, 2000)
         assert rep.min_diff >= 0.0
-        assert rep.passed
+        assert rep.exceedance <= rep.bound + 3.0 * rep.exceedance_se
         assert rep.bound == 0.5 and rep.gap_bound == 4.0
 
     def test_worker_invariance(self):
-        args = (PathConfig(m=2, dt=1e-3, horizon=100.0, seed=4), np.zeros(2), 0.9, 0.945, 2, 9000)
+        args = (PathConfig(m=2, dt=1e-3, horizon=100.0, seed=4), 0.9, 0.945, 2, 9000)
         a = exit_continuity_check(*args, workers=1)
         b = exit_continuity_check(*args, workers=3)
         assert a == b

@@ -96,20 +96,20 @@ class TestVerdictHelpers:
         assert within("c", 1.0, 0.25, 0.5)["pass"] is False
         assert at_most("c", 0.0, 0.5, 0.25)["pass"] is False
         assert at_least("c", 1.0, 0.5, 0.25)["pass"] is False
-        assert ks_below("c", KsReport(0.3, 0.2, True, 100))["pass"] is False
+        assert ks_below("c", KsReport(0.3, 0.2))["pass"] is False
 
     def test_ks_fails_at_equality(self):
-        v = ks_below("c", KsReport(0.2, 0.2, True, 100))
+        v = ks_below("c", KsReport(0.2, 0.2))
         assert v["pass"] is False
         assert (v["target"], v["estimate"], v["tolerance"]) == (0.0, 0.2, 0.2)
-        assert ks_below("c", KsReport(0.1, 0.2, False, 100))["pass"] is True
+        assert ks_below("c", KsReport(0.1, 0.2))["pass"] is True
 
     def test_nan_estimate_fails_every_helper(self):
         nan = math.nan
         assert within("c", 0.0, nan, 1.0)["pass"] is False
         assert at_most("c", 0.0, nan, 1.0)["pass"] is False
         assert at_least("c", 0.0, nan, 1.0)["pass"] is False
-        assert ks_below("c", KsReport(nan, 1.0, True, 100))["pass"] is False
+        assert ks_below("c", KsReport(nan, 1.0))["pass"] is False
 
     def test_reported_numbers_are_the_compared_ones(self):
         v = within("claim", 9, 9, 0)
@@ -318,6 +318,25 @@ class TestTracerHooks:
         for fn, paths in (("reflection_crossing_mc", 100), ("exit_continuity_check", 300)):
             per_s, self_s = figures[f"brownian.{fn}.paths_per_s"][0], figures[f"brownian.{fn}.self_s"][0]
             assert round(per_s * self_s) == paths, fn
+
+    @pytest.mark.parametrize("workload", ["hardy-limit-w2", "exact-martingale"])
+    def test_library_steps_run_and_write_verdicts(self, tmp_path, workload):
+        # perfbench/child.py calls catalog, estimate_rates, radius_schedule and
+        # limit_experiment itself and reads LimitReport's fields; a library
+        # change that breaks one of those calls fails its step here
+        root = Path(__file__).resolve().parents[1]
+        src = str(root / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "child.py"), "--workload", workload, "--seed", "1",
+             "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        steps = json.loads((tmp_path / "_child.json").read_text())["steps"]
+        assert steps and {step["code"] for step in steps.values()} <= {0, 1}
+        for name in steps:
+            assert "verdicts" in json.loads((tmp_path / f"{name}.json").read_text()), name
 
 
 class TestGoldenOutputs:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ballwalk import martingale
 from ballwalk.harmonic import catalog, hardy_integrals, zero_fn
 from ballwalk.martingale import (
     MartingaleSample,
@@ -61,6 +62,16 @@ class TestLambdaBar:
         for v in (1e-4, -1e-4):
             gap = abs(lambda_bar_series(v) - lambda_bar_closed(v))
             assert gap <= 1e-16
+
+    def test_lambda_bar_runs_the_branch_functions(self, monkeypatch):
+        # the switchover verdict compares the branch functions, so lambda_bar
+        # must be built from them and not from copies of their expressions
+        monkeypatch.setattr(martingale, "lambda_bar_series", lambda s: np.full_like(s, 123.0))
+        assert lambda_bar(1e-5) == 123.0
+        assert lambda_bar(1.0) == pytest.approx(lambda_oracle(1.0), rel=1e-12)
+        monkeypatch.setattr(martingale, "lambda_bar_closed", lambda s: np.full_like(s, 456.0))
+        assert lambda_bar(-1.0) == 456.0
+        assert list(lambda_bar(np.array([1e-5, 2.0]))) == [123.0, 456.0]
 
     def test_array_input(self):
         v = np.array([-2.0, 0.0, 1.0])

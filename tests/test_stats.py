@@ -59,13 +59,13 @@ class TestKsOneSample:
         rng = rng_stream(20260809, 100)
         xs = rng.uniform(0.0, 1.0, size=100_000)
         rep = ks_one_sample(xs, lambda t: np.clip(t, 0.0, 1.0))
-        assert rep.passed
+        assert rep.statistic < rep.threshold
         assert rep.threshold == pytest.approx(1.36 / math.sqrt(100_000))
 
     def test_constant_sample_fails(self):
         rep = ks_one_sample(np.full(200, 0.5), lambda t: np.clip(t, 0.0, 1.0))
         assert rep.statistic >= 0.5
-        assert not rep.passed
+        assert not rep.statistic < rep.threshold
 
     def test_statistic_in_unit_interval(self):
         rng = rng_stream(20260809, 101)
@@ -95,19 +95,19 @@ class TestKsTwoSample:
         xs = np.linspace(0, 1, 100)
         rep = ks_two_sample(xs, xs)
         assert rep.statistic == 0.0
-        assert rep.passed
+        assert rep.statistic < rep.threshold
 
     def test_disjoint_supports(self):
         rep = ks_two_sample(np.linspace(0, 1, 60), np.linspace(5, 6, 60))
         assert rep.statistic == 1.0
-        assert not rep.passed
+        assert not rep.statistic < rep.threshold
 
     def test_same_law_seeded_draw_passes(self):
         rng = rng_stream(20260809, 102)
         a = rng.normal(size=20_000)
         b = rng.normal(size=20_000)
         rep = ks_two_sample(a, b)
-        assert rep.passed
+        assert rep.statistic < rep.threshold
         expected = 1.36 * math.sqrt(2.0 / 20_000)
         assert rep.threshold == pytest.approx(expected)
 
