@@ -31,7 +31,6 @@ class RateData:
     nondecreasing in eps and shrink to 0 as eps does.
     """
 
-    b0: float
     b1: float
     delta1: Callable[[float], float]
     b2: float
@@ -204,7 +203,6 @@ def estimate_rates(
 
     b1 = float(max(_extrapolate(i1), i1[-1]))
     b2 = float(min(1.0, max(0.0, _extrapolate(i2))))
-    b0 = max(b1, float(np.max(i1))) * (1.0 + 1e-9) + 1e-12
 
     def _step_inverse(b: float, vals: np.ndarray) -> Callable[[float], float]:
         def delta(eps: float) -> float:
@@ -220,7 +218,6 @@ def estimate_rates(
         return delta
 
     return RateData(
-        b0=b0,
         b1=b1,
         delta1=_step_inverse(b1, i1),
         b2=b2,

@@ -156,7 +156,7 @@ def mc_surface_area(m: int, n: int, seed: int) -> McEstimate:
     u = rng.uniform(0.0, math.pi / 2.0, size=n)
     scale = 2.0 * surface_area(m - 1, 1.0) * (math.pi / 2.0)
     est = mc_estimate(np.sin(u) ** (m - 2))
-    return McEstimate(scale * est.mean, scale * est.std_error, n)
+    return McEstimate(scale * est.mean, scale * est.std_error)
 
 
 def uniform_sphere_sample(

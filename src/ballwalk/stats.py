@@ -22,7 +22,6 @@ KS_COEFF_5PCT = 1.36
 class McEstimate:
     mean: float
     std_error: float
-    n: int
 
 
 @dataclass(frozen=True)
@@ -44,11 +43,11 @@ def mc_estimate(samples) -> McEstimate:
     n = int(xs.size)
     mean = math.fsum(xs) / n
     if n == 1:
-        return McEstimate(mean, 0.0, 1)
+        return McEstimate(mean, 0.0)
     # squared deviations in slices of 2^16, so no n-float list or array is held
     blocks = (memoryview(np.square(xs[i : i + 2**16] - mean)) for i in range(0, n, 2**16))
     var = math.fsum(chain.from_iterable(blocks)) / (n - 1)
-    return McEstimate(mean, math.sqrt(var / n), n)
+    return McEstimate(mean, math.sqrt(var / n))
 
 
 def binomial_se(p: float, n) -> float:

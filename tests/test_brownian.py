@@ -345,33 +345,6 @@ class TestWalkOnSpheres:
             assert rep.statistic * math.sqrt(n) < 1.95, (s, rep.statistic)
 
     @staticmethod
-    def mixture_ratio(m, s, y):
-        """f / g at 1 - z.xh = y for a start at |x| = s: the exit density over
-        the mean of the Mobius proposal densities, from the component list in
-        ``wos_from_many``'s docstring, independently of the sampler's arithmetic."""
-        d = 1.0 - s
-        j = 0 if m == 2 or s == 0.0 else math.ceil(round(-math.log2(d), 12))
-        eps = [2.0**-i for i in range(j)] + [d]
-        u = 2.0 * y  # |z - xh|^2
-        f = d * (2.0 - d) / (d * d + s * u) ** (m / 2.0)
-        g = np.mean([(e * (2.0 - e) / (e * e + (1.0 - e) * u)) ** (m - 1) for e in eps], axis=0)
-        return f / g, len(eps)
-
-    def test_mixture_bound_certified(self):
-        # f / g <= B on a log grid of 1 - t down to 1e-30, for every m and
-        # 1 - s down to 1e-12, the edges of the J bands included
-        y = np.concatenate([np.logspace(-30, math.log10(2.0), 4000), [0.0, 1.0, 2.0]])
-        deltas = np.concatenate([np.logspace(-12, 0, 241), 2.0 ** -np.arange(1.0, 40.0), [0.5 + 1e-9, 0.25 - 1e-9]])
-        for m in range(2, 9):
-            worst = 0.0
-            for d in deltas:
-                s = 1.0 - d
-                ratio, k = self.mixture_ratio(m, s, y)
-                b = float(brownian._mixture_bound(m, np.array([k]))[0])
-                worst = max(worst, float(ratio.max()) / b)
-            assert worst <= 1.0, (m, worst)
-
-    @staticmethod
     def zonal_cdf(m, s):
         """P(z.xh <= c) for the exit point from |x| = s: density proportional
         to (1 - t^2)^((m-3)/2) (1 + s^2 - 2 s t)^(-m/2).  Closed form at m = 2, 3;
@@ -422,26 +395,71 @@ class TestWalkOnSpheres:
         se = z.std(axis=0) / math.sqrt(z.shape[0])
         assert np.all(np.abs(z.mean(axis=0) - x) <= 3.0 * se), (z.mean(axis=0) - x) / se
 
-    def test_no_accept_uniform_without_a_mixture(self):
-        # m = 2 and centred starts take one proposal per row and nothing else
-        for m, x in ((2, [0.7, 0.0]), (3, [0.0, 0.0, 0.0])):
+    def test_no_accept_uniform_at_m2_and_m3(self):
+        # m = 2 and centred starts take one sphere row per point and nothing
+        # else; an off-centre start at m = 3 one sphere row and one uniform
+        for m, x, uniforms in ((2, [0.7, 0.0], 0), (3, [0.0, 0.0, 0.0], 0), (3, [0.0, 0.7, 0.0], 500)):
             a, b = rng_stream(22), rng_stream(22)
             z = wos_exit_points(a, np.array(x), 1.0, 500)
             assert z.shape == (500, m)
             uniform_sphere_sample(b, m, size=500)
+            b.random(uniforms)
             assert a.random() == b.random()
 
-    def test_halved_bound_fails_ks(self, monkeypatch):
-        # negative control: B at half the measured sup of f / g truncates the
-        # law, and the same KS that passes above must see it
-        m, s, n = 3, 0.7, 20_000
-        y = np.logspace(-30, math.log10(2.0), 4000)
-        ratio, _ = self.mixture_ratio(m, s, y)
-        half = 0.5 * float(ratio.max())
-        monkeypatch.setattr(brownian, "_mixture_bound", lambda m_, k: np.where(k > 1, half, 1.0))
-        z = wos_exit_points(rng_stream(20260809, 23), np.array([s, 0.0, 0.0]), 1.0, n)
-        rep = ks_one_sample(np.clip(z[:, 0], -1.0, 1.0), self.zonal_cdf(m, s))
-        assert rep.statistic * math.sqrt(n) > 1.95, rep.statistic
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_proposals_per_point(self, monkeypatch, m):
+        # sphere rows drawn per point: exactly 1 at m = 3; at m >= 4 a
+        # geometric count with mean 2 c_m = 2 Gamma(m/2) / (sqrt(pi) Gamma((m-1)/2))
+        # at every start, here within 3 se over starts from s = 0.3 to 1 - 1e-6
+        rows = []
+        draw = brownian.uniform_sphere_sample
+
+        def counted(*args, **kwargs):
+            rows.append(kwargs["size"])
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(brownian, "uniform_sphere_sample", counted)
+        n = 20_000
+        xs = np.zeros((n, m))
+        xs[:, m - 1] = np.tile([0.3, 0.9, 0.999, 1.0 - 1e-6], n // 4)
+        wos_from_many(rng_stream(20260809, 24, m), xs, 1.0)
+        per_point = sum(rows) / n
+        if m == 3:
+            assert per_point == 1.0
+            return
+        mean = 2.0 * math.exp(math.lgamma(m / 2.0) - math.lgamma((m - 1) / 2.0)) / math.sqrt(math.pi)
+        se = math.sqrt((mean - 1.0) * mean / n)  # geometric with success rate 1 / mean
+        assert abs(per_point - mean) <= 3.0 * se, (per_point, mean, se)
+
+    def test_antipode_stays_on_the_sphere(self):
+        # U = 0 gives V = 1, the antipode, where rounding puts h above 1 at
+        # many s; clipped, the point is -xh up to rounding rather than NaN
+        class ZeroUniform:
+            standard_normal = rng_stream(26).standard_normal
+
+            def random(self, n):
+                return np.zeros(n)
+
+        ss = np.linspace(0.001, 1.0 - 1e-6, 2001)
+        xs = np.zeros((ss.size, 3))
+        xs[:, 0] = ss
+        z = wos_from_many(ZeroUniform(), xs, 1.0)
+        assert np.all(np.isfinite(z))
+        assert np.max(np.abs(z - [-1.0, 0.0, 0.0])) <= 1e-4
+
+    def test_exponent_one_half_too_high_fails_ks(self):
+        # negative control: accepting with g^((m-2)/2) in place of g^((m-3)/2)
+        # gives the correct law thinned by a further g^(1/2),
+        # g = (1 - t^2) / (1 - 2 s t + s^2); the KS that passes on the sample
+        # must fail on the thinned one
+        m, s, n = 4, 0.7, 20_000
+        law = self.zonal_cdf(m, s)
+        t = np.clip(wos_exit_points(rng_stream(20260809, 23), np.array([s, 0.0, 0.0, 0.0]), 1.0, n)[:, 0], -1.0, 1.0)
+        assert ks_one_sample(t, law).statistic * math.sqrt(n) < 1.95
+        g = (1.0 - t * t) / (1.0 - 2.0 * s * t + s * s)
+        thinned = t[rng_stream(20260809, 25).random(n) < np.sqrt(g)]
+        rep = ks_one_sample(thinned, law)
+        assert rep.statistic * math.sqrt(thinned.size) > 1.95, rep.statistic
 
 
 class TestEngineAgreement:

@@ -357,8 +357,8 @@ class TestGoldenOutputs:
         "exit-dist.json": "4c71ce19165098d733137da7da0a30b0e0225a4ee47c72e3d9c3f2a4c4c83cad",
         "hardy-limit.csv": "d1b49d9d31fbd9646817d5606f43069f7bd3e20e3d5321e3b489c43d7a192b87",
         "hardy-limit.json": "1fc8d70c911d0ce7e022e22640aad026869e707df2dc136a69a5c07afa1a9a85",
-        "martingale.csv": "366f7ade751db6b91b3efa0e975a094638eade63f60ad66267d93f889342776f",
-        "martingale.json": "0654e5059046ed46c304113070a9de7c8773160790a31d3855adc21c9bf9a907",
+        "martingale.csv": "3f3d32bc80cffced475691e2e7b714a381f3904dddd5d3f0ca0031dd566f5ee9",
+        "martingale.json": "310883ec47fc70a0d3bedadb8608efe6d03da5e078d6bc604f1034971a01895d",
         "reflection.csv": "3f94f20a88d6d93aa79bce42e70b5f4f52cb24c0ebdfa073e3cab76e0bc7bae8",
         "reflection.json": "6837ae5bdaf30e9018ca6cebd7b268708bca1d29d58a8fa3c1f0a5d2923c242a",
         "scaling.csv": "7dc1cd7d3cb9a18a4dcea941ee778d648b22a5be037a8c789d6a0bfa7f07068c",

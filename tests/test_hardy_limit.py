@@ -19,7 +19,7 @@ GAUSS2 = SurfaceQuadrature(2, 1.0, "chart-gauss", 512)
 
 
 def synthetic_rates(d1, d2, b1=0.0, b2=1.0):
-    return RateData(b0=max(b1, 1.0), b1=b1, delta1=d1, b2=b2, delta2=d2)
+    return RateData(b1=b1, delta1=d1, b2=b2, delta2=d2)
 
 
 class TestDelta3:

@@ -247,7 +247,6 @@ class TestEstimateRates:
     def test_coordinate_limit(self):
         rates = estimate_rates(catalog(2, with_rates=False)[0])
         assert rates.b1 == pytest.approx(2 / math.pi, abs=1e-6)
-        assert rates.b0 >= rates.b1
 
     def test_deltas_nondecreasing_in_eps(self):
         # delta(eps) -> 0 as eps -> 0, so larger tolerance gives a wider band

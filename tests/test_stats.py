@@ -12,7 +12,7 @@ from ballwalk.streams import rng_stream
 class TestMcEstimate:
     def test_constant_sample(self):
         est = mc_estimate([1.0, 1.0, 1.0, 1.0])
-        assert est.mean == 1.0 and est.std_error == 0.0 and est.n == 4
+        assert est.mean == 1.0 and est.std_error == 0.0
 
     def test_two_point_sample(self):
         # unbiased variance (0.5)^2 * 2 / 1 = 0.5; se = sqrt(0.5 / 2) = 0.5
