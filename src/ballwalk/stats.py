@@ -41,7 +41,7 @@ def mc_estimate(samples) -> McEstimate:
     if xs.size == 0:
         raise ValueError("mc_estimate of an empty sample")
     n = int(xs.size)
-    mean = math.fsum(xs) / n
+    mean = math.fsum(memoryview(xs)) / n
     if n == 1:
         return McEstimate(mean, 0.0)
     # squared deviations in slices of 2^16, so no n-float list or array is held

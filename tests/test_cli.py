@@ -175,6 +175,22 @@ class TestDeterminism:
             assert run_cli("continuity", *args) == 0
         assert (a / "continuity.csv").read_bytes() == (b / "continuity.csv").read_bytes()
 
+    def test_blas_thread_count_invariance(self, tmp_path):
+        # the quadrature suites' sums and rules run no threaded BLAS or LAPACK code,
+        # so a one-thread OpenBLAS gives the bytes of this process's default pool
+        one, default = tmp_path / "one", tmp_path / "default"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for suite in ("constants", "martingale"):
+            proc = subprocess.run([sys.executable, "-m", "ballwalk", suite, "--out", str(one), *SMALL_ARGS[suite]],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode in (0, 1), proc.stderr
+            assert run_cli(suite, "--out", str(default), *SMALL_ARGS[suite]) in (0, 1)
+        digests = [{p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} for out in (one, default)]
+        assert len(digests[0]) == 4
+        assert digests[0] == digests[1]
+
 
 class TestContinuitySuite:
     def test_all_censored_fails_and_writes_strict_json(self, tmp_path):
@@ -348,8 +364,8 @@ class TestGoldenOutputs:
     """
 
     DIGESTS = {
-        "constants.csv": "2dbfa9fefda8e0cb1df9f55783c292056e1350048fc2a5f34ef4bed17a471563",
-        "constants.json": "571eb2f72a0b03d518671cbb3c48266438db2319a1da0c01243e0508987cebfd",
+        "constants.csv": "ddb47935fb439a0793646505202d4a3ebfa5fb02b8e57e3fea7b83fb6a7074d2",
+        "constants.json": "f55253682df1f5ca98b951ae72e0f82d0d52bc78643a3f9650356508b1097340",
         "continuity.csv": "8bfd2ab34f4019c80cb8b8abf9312ab0af9488f35a87a92824edbe2c4df67d65",
         "continuity.json": "dfe78f34281dc07f75b70f6dddfe4e217e08650f8a44a548719d87c3f5face6d",
         "exit-dist-trace.csv": "781919ffa4f740faf21da0bbb959fcaf3d766f69306f66da3dc0117ae3f7b2de",
@@ -358,7 +374,7 @@ class TestGoldenOutputs:
         "hardy-limit.csv": "d1b49d9d31fbd9646817d5606f43069f7bd3e20e3d5321e3b489c43d7a192b87",
         "hardy-limit.json": "1fc8d70c911d0ce7e022e22640aad026869e707df2dc136a69a5c07afa1a9a85",
         "martingale.csv": "3f3d32bc80cffced475691e2e7b714a381f3904dddd5d3f0ca0031dd566f5ee9",
-        "martingale.json": "310883ec47fc70a0d3bedadb8608efe6d03da5e078d6bc604f1034971a01895d",
+        "martingale.json": "5af90c0e8c1ab363896b442e20eb755f40cb35701c19e2670893b692b22c82eb",
         "reflection.csv": "3f94f20a88d6d93aa79bce42e70b5f4f52cb24c0ebdfa073e3cab76e0bc7bae8",
         "reflection.json": "6837ae5bdaf30e9018ca6cebd7b268708bca1d29d58a8fa3c1f0a5d2923c242a",
         "scaling.csv": "7dc1cd7d3cb9a18a4dcea941ee778d648b22a5be037a8c789d6a0bfa7f07068c",

@@ -193,7 +193,8 @@ def _row_with_own_rule(u, r, quad):
     pts, w = quad_nodes(quad)
     w = w / np.sum(w)
     a = np.abs(u.eval(r * pts))
-    return float(np.dot(w, a)), 1.0 + float(np.dot(w, np.expm1(-a))), float(np.dot(w, np.expm1(-a) + a))
+    e = np.expm1(-a)
+    return float(np.einsum("i,i", w, a)), 1.0 + float(np.einsum("i,i", w, e)), float(np.einsum("i,i", w, e + a))
 
 
 class TestHardyTable:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,6 +8,7 @@ from ballwalk.sphere import (
     SurfaceQuadrature,
     ball_volume,
     eval_on_points,
+    gauss_legendre,
     mc_surface_area,
     quad_nodes,
     surface_area,
@@ -87,6 +89,42 @@ class TestQuadratureConstruction:
             pts, w = quad_nodes(quad)
             assert np.allclose(np.linalg.norm(pts, axis=1), quad.r, atol=1e-12)
             assert np.all(w > 0)
+
+
+GL_SIZES = [1, 2, 3, 64, 128, 192, 224]
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", GL_SIZES)
+    def test_even_moments_exact_to_degree_2n_minus_1(self, n):
+        x, w = gauss_legendre(n)
+        for j in range(n):  # x^(2j) for every even degree 2j <= 2n - 1
+            assert abs(math.fsum(w * x ** (2 * j)) - 2.0 / (2 * j + 1)) <= 1e-14, j
+
+    @pytest.mark.parametrize("n", GL_SIZES)
+    def test_symmetric(self, n):
+        x, w = gauss_legendre(n)
+        assert np.all(np.diff(x) > 0) and np.all(w > 0)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+
+    @pytest.mark.parametrize("n", GL_SIZES)
+    def test_nodes_match_leggauss(self, n):
+        x, _ = gauss_legendre(n)
+        assert np.max(np.abs(x - np.polynomial.legendre.leggauss(n)[0])) <= 2e-16
+
+    def test_weights_match_mpmath_at_224(self):
+        # the weight at each node polished by Newton steps on P_n in 40-digit arithmetic
+        n = 224
+        x, w = gauss_legendre(n)
+        with mpmath.workdps(40):
+            for xi, wi in zip(x, w):
+                t = mpmath.mpf(float(xi))
+                for _ in range(5):
+                    p = mpmath.legendre(n, t)
+                    dp = n * (t * p - mpmath.legendre(n - 1, t)) / (t * t - 1)
+                    t -= p / dp
+                ref = 2 / ((1 - t * t) * dp * dp)
+                assert abs(float((wi - ref) / ref)) <= 1e-11, xi
 
 
 class TestSurfaceIntegral:
