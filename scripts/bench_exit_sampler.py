@@ -87,10 +87,10 @@ def perfbench_run(root: Path, workload: str, seconds: float) -> dict:
     return {"failed": result["failed"], **{k: result["metrics"][k]["value"] for k in METRICS}}
 
 
-def run_pairs(sides: dict, seconds: float) -> dict:
+def run_pairs(sides: dict, seconds: float, pairs_per_workload: dict = PAIRS) -> dict:
     out = {}
     names = list(sides)
-    for workload, pairs in PAIRS.items():
+    for workload, pairs in pairs_per_workload.items():
         runs = {name: [] for name in names}
         for i in range(pairs):
             for name in names if i % 2 == 0 else names[::-1]:

@@ -37,26 +37,28 @@ from .streams import rng_stream
 CHUNK = 8192  # paths per rng stream; fixed so worker count cannot matter
 
 
-def normal_cdf(x):
-    """Standard normal CDF Phi, elementwise."""
-    from scipy import special  # imported on first use: scipy is slow to load
-    return special.ndtr(x)
+def normal_cdf(x: float) -> float:
+    """Standard normal CDF Phi(x) = erfc(-x / sqrt(2)) / 2, for a scalar x."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def reflection_prob(t: float, lam: float) -> float:
     """P(sup over [0, t] of a standard 1-d Brownian motion >= lam).
 
-    Equals 2 (1 - Phi(lam / sqrt(t))); evaluated through the lower tail for
-    accuracy at large lam / sqrt(t).
+    Equals 2 (1 - Phi(lam / sqrt(t))) = erfc(lam / sqrt(2 t)); erfc keeps full
+    relative accuracy at large lam / sqrt(t).
     """
     if not (t > 0.0 and lam > 0.0):
         raise ValueError("reflection_prob needs t > 0 and lam > 0")
-    return float(2.0 * normal_cdf(-lam / math.sqrt(t)))
+    return math.erfc(lam / math.sqrt(2.0 * t))
 
 
 def tightness_N(r_tilde: float, k: int) -> int:
     """Smallest positive integer N with 2 Phi(r_tilde / sqrt(N)) - 1 < 2^-k.
 
+    Tested as erf(r_tilde / sqrt(2 N)) < 2^-k, which does not cancel at small
+    arguments; found by doubling, then bisecting, in O(log N) calls to erf.
+    Raises ValueError past N = 2^53, where consecutive N are not told apart.
     Nondecreasing in k; bounds P(exit time > t) <= 2^(1-k) for t > N.
     """
     if not r_tilde > 0.0:
@@ -66,18 +68,17 @@ def tightness_N(r_tilde: float, k: int) -> int:
     target = 2.0 ** (-k)
 
     def ok(n: int) -> bool:
-        return 2.0 * float(normal_cdf(r_tilde / math.sqrt(n))) - 1.0 < target
+        return math.erf(r_tilde / math.sqrt(2.0 * n)) < target
 
-    if target >= 1.0:
-        return 1
-    from scipy import special
-    x = float(special.ndtri((1.0 + target) / 2.0))
-    n = max(1, int((r_tilde / x) ** 2) + 1)
-    while not ok(n):
-        n += 1
-    while n > 1 and ok(n - 1):
-        n -= 1
-    return n
+    lo, hi = 0, 1  # N lies in (lo, hi] from the first ok(hi) on
+    while not ok(hi):
+        if hi >= 2**53:
+            raise ValueError(f"tightness_N(r_tilde={r_tilde}, k={k}) exceeds 2^53")
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
+    return hi
 
 
 @dataclass(frozen=True)
@@ -455,12 +456,13 @@ def exit_continuity_check(
     the origin stepped under ``cfg`` for at most cfg.n_steps steps.
 
     Preconditions (checked, named on failure): 0 <= r2 - r1 < 2^(-kappa-1)
-    and 2 Phi((r2 - r1) / sqrt(2^(-kappa-1))) - 1 < 2^(-kappa-1).  The report
-    compares the empirical P(tau2 - tau1 > 2^(-kappa+4)) with the bound
-    2^(-kappa+1).  Both crossings are grid times read off the same Euler
-    path (no bridge correction), so the coupling is exact and tau2 >= tau1
-    pathwise by construction.  When the horizon censors every path there is
-    no evidence: exceedance 1.0, above every bound, and min_diff NaN.
+    and erf((r2 - r1) / sqrt(2^-kappa)) = 2 Phi((r2 - r1) / sqrt(2^(-kappa-1)))
+    - 1 < 2^(-kappa-1).  The report compares the empirical P(tau2 - tau1 >
+    2^(-kappa+4)) with the bound 2^(-kappa+1).  Both crossings are grid times
+    read off the same Euler path (no bridge correction), so the coupling is
+    exact and tau2 >= tau1 pathwise by construction.  When the horizon
+    censors every path there is no evidence: exceedance 1.0, above every
+    bound, and min_diff NaN.
     """
     if not r1 > 0.0:
         raise ValueError("r1 must be positive: the origin must lie inside the inner ball")
@@ -468,11 +470,9 @@ def exit_continuity_check(
     half = 2.0 ** (-kappa - 1)
     if not 0.0 <= gap < half:
         raise ValueError(f"precondition failed: r2 - r1 = {gap} not in [0, 2^-(kappa+1)) = [0, {half})")
-    stat = 2.0 * float(normal_cdf(gap / math.sqrt(half))) - 1.0
+    stat = math.erf(gap / math.sqrt(2.0 * half))
     if not stat < half:
-        raise ValueError(
-            f"precondition failed: 2 Phi((r2-r1)/sqrt(2^-(kappa+1))) - 1 = {stat:.6f} >= {half}"
-        )
+        raise ValueError(f"precondition failed: erf((r2-r1)/sqrt(2^-kappa)) = {stat:.6f} >= {half}")
     exceed_thr = 2.0 ** (-kappa + 4)
 
     def run(rng, c: int):

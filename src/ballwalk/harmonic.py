@@ -95,7 +95,7 @@ def poisson_extend(g: Callable, y, r: float, x, quad: SurfaceQuadrature) -> floa
     pts = pts + y
     k = w * poisson_kernel(y, r, x, pts)
     vals = eval_on_points(g, pts)
-    return float(np.einsum("i,i", k, vals) / np.sum(k))
+    return float(np.sum(k * vals) / np.sum(k))
 
 
 def mean_value_residual(u, y, r: float, quad: SurfaceQuadrature) -> float:
@@ -108,7 +108,7 @@ def mean_value_residual(u, y, r: float, quad: SurfaceQuadrature) -> float:
         raise ValueError("closed ball must be contained in the open unit ball")
     f = _as_eval(u)
     pts, w = quad_nodes(quad)
-    avg = float(np.einsum("i,i", w, eval_on_points(f, pts + y)) / np.sum(w))
+    avg = float(np.sum(w * eval_on_points(f, pts + y)) / np.sum(w))
     center = float(eval_on_points(f, y[None, :])[0])
     return abs(center - avg)
 
@@ -149,7 +149,7 @@ def hardy_table(u, grid, quad: SurfaceQuadrature) -> tuple[np.ndarray, np.ndarra
     for j, r in enumerate(radii):
         a = np.abs(eval_on_points(f, r * pts))
         e = np.expm1(-a)  # expm1 keeps u = 0 at exactly I2 = 1
-        table[:, j] = np.einsum("i,i", w, a), 1.0 + np.einsum("i,i", w, e), np.einsum("i,i", w, e + a)
+        table[:, j] = np.sum(w * a), 1.0 + np.sum(w * e), np.sum(w * (e + a))
     return tuple(table)
 
 

@@ -158,7 +158,7 @@ def eval_on_points(g: Callable, pts: np.ndarray) -> np.ndarray:
 def surface_integral(g: Callable, quad: SurfaceQuadrature) -> float:
     """Approximation of the surface-area integral of g over ``|z| = r``."""
     pts, w = quad_nodes(quad)
-    return float(np.einsum("i,i", w, eval_on_points(g, pts)))
+    return float(np.sum(w * eval_on_points(g, pts)))
 
 
 def mc_surface_area(m: int, n: int, seed: int) -> McEstimate:

@@ -1,6 +1,8 @@
 import hashlib
 import math
+import threading
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,6 +106,40 @@ class TestTightnessN:
     @settings(max_examples=60, deadline=None)
     def test_nondecreasing_in_k(self, k, r):
         assert tightness_N(r, k + 1) >= tightness_N(r, k)
+
+    @pytest.mark.parametrize("k", [14, 16, 18, 20])
+    def test_exact_against_mpmath(self, k):
+        # 2 Phi(y) - 1 in double precision cancels here and picked a wrong N
+        with mpmath.workdps(50):
+            for r in (0.7, 2.0, 3.0924, 5.0):
+                n = tightness_N(r, k)
+                target = mpmath.mpf(2) ** -k
+                assert mpmath.erf(r / mpmath.sqrt(2 * n)) < target, (r, k, n)
+                assert mpmath.erf(r / mpmath.sqrt(2 * (n - 1))) >= target, (r, k, n)
+
+    @pytest.mark.parametrize("k", [26, 30])
+    def test_large_k_returns_or_raises_within_1s(self, k):
+        # a linear scan from a quantile guess ran for minutes here
+        got = []
+
+        def call():
+            try:
+                got.append(tightness_N(2.0, k))
+            except ValueError as err:
+                got.append(err)
+
+        worker = threading.Thread(target=call, daemon=True)
+        worker.start()
+        worker.join(1.0)
+        assert got, "still running after 1 s"
+        if isinstance(got[0], ValueError):
+            assert "r_tilde=2.0" in str(got[0]) and f"k={k}" in str(got[0])
+        else:
+            assert got[0] >= tightness_N(2.0, 20)
+
+    def test_past_2_pow_53_raises(self):
+        with pytest.raises(ValueError, match="k=60"):
+            tightness_N(2.0, 60)
 
 
 class TestSimulateExit:

@@ -267,22 +267,36 @@ class TestStreams:
 
 
 class TestImportPath:
+    """No run path loads scipy: the normal CDF and N_k come from ``math``."""
+
+    LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+
+    def run(self, code: str) -> list[str]:
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
     def test_cli_import_loads_no_scipy(self):
         from scipy import special
 
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         code = (
-            "import sys, ballwalk, ballwalk.cli\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-            "from ballwalk.brownian import reflection_prob, tightness_N\n"
-            "print(reflection_prob(1, 1).hex(), tightness_N(2.0, 1))\n"
+            "import sys, ballwalk, ballwalk.cli\n" + self.LOADED
+            + "from ballwalk.brownian import reflection_prob, tightness_N\n"
+            "print(reflection_prob(1, 1).hex(), tightness_N(2.0, 1))\n" + self.LOADED
         )
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        loaded, values = proc.stdout.splitlines()
-        assert loaded == "[]"
+        before, values, after = self.run(code)
+        assert before == after == "[]"
         assert values == f"{float(2.0 * special.ndtr(-1.0)).hex()} 9"
+
+    def test_suites_load_no_scipy(self, tmp_path):
+        code = (
+            "import sys\nfrom ballwalk.cli import main\n"
+            f"for suite, args in {SMALL_ARGS!r}.items():\n"
+            f"    assert main([suite, '--out', {str(tmp_path)!r}, *args]) in (0, 1), suite\n" + self.LOADED
+        )
+        assert self.run(code)[-1] == "[]"
 
 
 class TestScripts:
@@ -358,14 +372,13 @@ class TestTracerHooks:
 class TestGoldenOutputs:
     """Every suite output at SMALL_ARGS and seed 20260809, pinned by sha256.
 
-    Recorded with numpy 2.4.6 and scipy 1.17.1.  A change that alters the
-    random draws or the arithmetic on purpose updates these digests and says
-    so in CHANGES.md.
+    Recorded with numpy 2.4.6.  A change that alters the random draws or the
+    arithmetic on purpose updates these digests and says so in CHANGES.md.
     """
 
     DIGESTS = {
-        "constants.csv": "ddb47935fb439a0793646505202d4a3ebfa5fb02b8e57e3fea7b83fb6a7074d2",
-        "constants.json": "f55253682df1f5ca98b951ae72e0f82d0d52bc78643a3f9650356508b1097340",
+        "constants.csv": "6cd57bd9a29e4b4a0e805baa696e5c1ea613941c86adde80290d137289964610",
+        "constants.json": "6868de6f466340c5241dd3b0e66798de56c7e37d977f81add87a61d7f4d0a329",
         "continuity.csv": "8bfd2ab34f4019c80cb8b8abf9312ab0af9488f35a87a92824edbe2c4df67d65",
         "continuity.json": "dfe78f34281dc07f75b70f6dddfe4e217e08650f8a44a548719d87c3f5face6d",
         "exit-dist-trace.csv": "781919ffa4f740faf21da0bbb959fcaf3d766f69306f66da3dc0117ae3f7b2de",
@@ -374,7 +387,7 @@ class TestGoldenOutputs:
         "hardy-limit.csv": "d1b49d9d31fbd9646817d5606f43069f7bd3e20e3d5321e3b489c43d7a192b87",
         "hardy-limit.json": "1fc8d70c911d0ce7e022e22640aad026869e707df2dc136a69a5c07afa1a9a85",
         "martingale.csv": "3f3d32bc80cffced475691e2e7b714a381f3904dddd5d3f0ca0031dd566f5ee9",
-        "martingale.json": "5af90c0e8c1ab363896b442e20eb755f40cb35701c19e2670893b692b22c82eb",
+        "martingale.json": "58d71480909be546929f2d0f354e4d17a9e4cc35220b35aa87fcc55772b377cf",
         "reflection.csv": "3f94f20a88d6d93aa79bce42e70b5f4f52cb24c0ebdfa073e3cab76e0bc7bae8",
         "reflection.json": "6837ae5bdaf30e9018ca6cebd7b268708bca1d29d58a8fa3c1f0a5d2923c242a",
         "scaling.csv": "7dc1cd7d3cb9a18a4dcea941ee778d648b22a5be037a8c789d6a0bfa7f07068c",

@@ -194,7 +194,7 @@ def _row_with_own_rule(u, r, quad):
     w = w / np.sum(w)
     a = np.abs(u.eval(r * pts))
     e = np.expm1(-a)
-    return float(np.einsum("i,i", w, a)), 1.0 + float(np.einsum("i,i", w, e)), float(np.einsum("i,i", w, e + a))
+    return float(np.sum(w * a)), 1.0 + float(np.sum(w * e)), float(np.sum(w * (e + a)))
 
 
 class TestHardyTable:

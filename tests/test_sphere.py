@@ -134,6 +134,12 @@ class TestSurfaceIntegral:
     def test_constant_m3(self):
         assert surface_integral(ones, GAUSS3) == pytest.approx(4 * math.pi, abs=1e-8)
 
+    def test_sum_rounding_does_not_grow_with_nodes(self):
+        # the pairwise sum stays within a few ulps; an in-order sum per SIMD lane was 4.3e-13 off at 4096
+        for quad in [SurfaceQuadrature(2, 1.0, "chart-gauss", n) for n in (512, 2048, 4096, 50_176)]:
+            assert abs(surface_integral(ones, quad) - 2 * math.pi) <= 4e-15, quad.node_count
+        assert abs(surface_integral(ones, SurfaceQuadrature(3, 1.0, "chart-gauss", 224)) - 4 * math.pi) <= 8e-15
+
     def test_odd_function_vanishes(self):
         assert surface_integral(lambda z: z[:, 0], GAUSS3) == pytest.approx(0.0, abs=1e-8)
 
