@@ -13,8 +13,8 @@ nodes, and ``np.dot`` (BLAS) and ``np.einsum("i,i", ...)`` at 65,536 and
 200,704 values.  Each figure is the median of five such calls.
 
 For each side, one child then times ``hardy_table`` on the poisson-slice
-member over ``arange(0.1, 0.951, 0.05)`` (18 radii) with the chart-gauss
-rules m=2 at 2048 nodes and m=3 at 224 per axis, after one warm-up call:
+member over ``arange(0.1, 0.951, 0.05)`` (18 radii) with the chart rules
+m=2 at 2048 nodes and m=3 at 224 per axis, after one warm-up call:
 nodes/s = nodes per radius x 18 / median table time (N tables at m=2, N/6
 at m=3); two children per side, alternating.
 
@@ -85,7 +85,7 @@ def tables(count: int) -> dict:
     out = {}
     for name, (m, n) in TABLES.items():
         u = next(f for f in catalog(m, with_rates=False) if f.name == "poisson-slice")
-        quad = SurfaceQuadrature(m, 1.0, "chart-gauss", n)
+        quad = SurfaceQuadrature(m, node_count=n)
         hardy_table(u, grid, quad)  # warm-up
         times = []
         for _ in range(count if m == 2 else max(1, count // 6)):

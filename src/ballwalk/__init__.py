@@ -33,7 +33,6 @@ from .brownian import (
     PathConfig,
     exit_continuity_check,
     exit_points_batch,
-    normal_cdf,
     reflection_crossing_mc,
     reflection_prob,
     scaling_check,
@@ -50,7 +49,6 @@ from .martingale import (
 )
 from .sphere import (
     SurfaceQuadrature,
-    ball_volume,
     surface_area,
     surface_integral,
     uniform_sphere_sample,
@@ -71,7 +69,6 @@ __all__ = [
     "RadiusSchedule",
     "RateData",
     "SurfaceQuadrature",
-    "ball_volume",
     "catalog",
     "delta3",
     "estimate_rates",
@@ -88,7 +85,6 @@ __all__ = [
     "mc_estimate",
     "mean_value_residual",
     "monotonicity_report",
-    "normal_cdf",
     "poisson_extend",
     "poisson_kernel",
     "radius_schedule",

@@ -37,11 +37,6 @@ from .streams import rng_stream
 CHUNK = 8192  # paths per rng stream; fixed so worker count cannot matter
 
 
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF Phi(x) = erfc(-x / sqrt(2)) / 2, for a scalar x."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
 def reflection_prob(t: float, lam: float) -> float:
     """P(sup over [0, t] of a standard 1-d Brownian motion >= lam).
 

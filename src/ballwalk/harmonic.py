@@ -101,9 +101,12 @@ def poisson_extend(g: Callable, y, r: float, x, quad: SurfaceQuadrature) -> floa
 def mean_value_residual(u, y, r: float, quad: SurfaceQuadrature) -> float:
     """|u(y) - average of u over the sphere |z - y| = r|.
 
-    The closed ball about y must sit inside the open unit ball.
+    The closed ball about y must sit inside the open unit ball, and ``quad``
+    must be a rule on the sphere of radius r.
     """
     y = np.asarray(y, dtype=float)
+    if quad.r != r:
+        raise ValueError(f"quadrature radius {quad.r} differs from r = {r}")
     if float(np.linalg.norm(y)) + r >= 1.0:
         raise ValueError("closed ball must be contained in the open unit ball")
     f = _as_eval(u)
@@ -179,7 +182,7 @@ def estimate_rates(
             raise ValueError("estimate_rates needs an explicit quadrature for m not in {2, 3}")
         # |u| hits chart kinks for sign-changing u, so convergence is only
         # algebraic; 2048 nodes keep the extrapolated limits below 1e-7 error.
-        quad = SurfaceQuadrature(dim, 1.0, "chart-gauss", 2048 if dim == 2 else 192)
+        quad = SurfaceQuadrature(dim, node_count=2048 if dim == 2 else 192)
     grid = np.asarray(DEFAULT_RATE_GRID if r_grid is None else r_grid, dtype=float)
     if grid.size < 2 or np.any(np.diff(grid) <= 0) or grid[0] <= 0 or grid[-1] >= 1:
         raise ValueError("r_grid must be increasing inside (0, 1) with >= 2 points")
@@ -310,5 +313,5 @@ def zero_fn(m: int) -> HarmonicFn:
         return np.zeros(np.asarray(x).shape[:-1])
 
     u = HarmonicFn("0", m, zero, _lipschitz_modulus(1.0), boundary_fn=zero)
-    quad = SurfaceQuadrature(m, 1.0, "chart-gauss", 64) if m in (2, 3) else None
+    quad = SurfaceQuadrature(m, node_count=64) if m in (2, 3) else None
     return replace(u, hardy=estimate_rates(u, quad=quad))

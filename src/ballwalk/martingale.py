@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tolerances as tol
 from .brownian import wos_from_many
 from .harmonic import HarmonicFn, hardy_table
 from .sphere import SurfaceQuadrature, eval_on_points
@@ -53,36 +52,28 @@ def lambda_bar_closed(v):
 class MartingaleSample:
     """Sampled martingale: values[i, j] is path i observed at stage j."""
 
-    times_or_radii: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times_or_radii, dtype=float)
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[1] != t.size or v.shape[1] < 1:
-            raise ValueError("values must be (paths, stages) matching times_or_radii")
-        if np.any(np.diff(t) < 0):
-            raise ValueError("times_or_radii must be nondecreasing")
-        object.__setattr__(self, "times_or_radii", t)
+        if v.ndim != 2 or v.shape[1] < 1:
+            raise ValueError("values must be (paths, stages) with at least one stage")
         object.__setattr__(self, "values", v)
 
     @property
     def n_paths(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def stages(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class MaximalInequalityReport:
-    """Both sides of the premise with 3-sigma margins, and the conclusion check.
+    """Both sides of the premise with 3-sigma margins, and the conclusion's
+    exceedance with its standard error.
 
     ``premise_holds`` is decided conservatively: the left side plus three
     standard errors must stay below the right side evaluated at means shifted
     three standard errors against us.  When the premise fails the theorem is
-    vacuous and ``passed`` is None.
+    vacuous and the exceedance is no test of it.
     """
 
     premise_holds: bool
@@ -92,12 +83,12 @@ class MaximalInequalityReport:
     exceedance: float
     exceedance_se: float
     bound: float
-    passed: bool | None
 
 
 def maximal_inequality_check(z: MartingaleSample, eps: float) -> MaximalInequalityReport:
     """Check E lb(Z_n) - E lb(Z_0) < (1/6) eps^3 exp(-(3/eps)(E|Z_0| v E|Z_n|))
-    and, when it holds with margin, that P(max_k |Z_k - Z_0| > eps) < eps."""
+    and estimate P(max_k |Z_k - Z_0| > eps), which the theorem bounds by eps
+    when the premise holds."""
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     vals = z.values
@@ -111,7 +102,6 @@ def maximal_inequality_check(z: MartingaleSample, eps: float) -> MaximalInequali
     dev = np.max(np.abs(vals - z0[:, None]), axis=1)
     exc = float(np.mean(dev > eps))
     exc_se = binomial_se(exc, z.n_paths)
-    passed = (exc < eps + 3.0 * exc_se) if premise else None
     return MaximalInequalityReport(
         premise_holds=premise,
         lhs=lhs_est.mean,
@@ -120,7 +110,6 @@ def maximal_inequality_check(z: MartingaleSample, eps: float) -> MaximalInequali
         exceedance=exc,
         exceedance_se=exc_se,
         bound=eps,
-        passed=passed,
     )
 
 
@@ -141,29 +130,24 @@ def sample_Y_skeleton(
     for j, r in enumerate(radii):
         xs = wos_from_many(rng, xs, float(r))
         values[:, j] = eval_on_points(u.eval, xs)
-    return MartingaleSample(times_or_radii=radii, values=values)
+    return MartingaleSample(values)
 
 
 @dataclass(frozen=True)
 class MonotonicityReport:
-    r_grid: np.ndarray
-    i1: np.ndarray
-    i2: np.ndarray
-    i3: np.ndarray
     max_down_step: float   # worst downward step of I1 and I3 (provably monotone)
     i2_down_step: float    # worst downward step of I2 (no direction in general)
-    identity_defect: float
+    identity_defect: float  # max |I3 - (I2 - 1 + I1)| over the grid
     i2_max: float
-    passed: bool
 
 
 def monotonicity_report(u: HarmonicFn, r_grid, quad: SurfaceQuadrature) -> MonotonicityReport:
-    """I1, I2, I3 on a radius grid with their largest downward steps.
+    """The largest downward steps of I1, I2 and I3 on a radius grid, the
+    defect of I3 = I2 - 1 + I1 and the largest I2.
 
-    Passes when I1 and I3 never step down beyond QUAD_MONOTONE_TOL, I2 stays
-    <= 1, and I3 = I2 - 1 + I1 holds to INTEGRAL_IDENTITY_TOL.  I2's worst
-    downward step is reported but carries no requirement: any member with
-    u(0) = 0 starts I2 at 1 and I2 <= 1 throughout, so I2 can only come down.
+    I1 and I3 are provably nondecreasing and I2 <= 1.  I2 carries no
+    direction: any member with u(0) = 0 starts I2 at 1 and stays <= 1, so
+    I2 can only come down.
     """
     grid = np.asarray(r_grid, dtype=float)
     if np.any(np.diff(grid) <= 0) or grid[0] <= 0.0 or grid[-1] >= 1.0:
@@ -175,9 +159,4 @@ def monotonicity_report(u: HarmonicFn, r_grid, quad: SurfaceQuadrature) -> Monot
         down = float(min(np.min(np.diff(i1)), np.min(np.diff(i3))))
         i2_down = float(np.min(np.diff(i2)))
     identity = float(np.max(np.abs(i3 - (i2 - 1.0 + i1))))
-    ok = (
-        down >= -tol.QUAD_MONOTONE_TOL
-        and float(np.max(i2)) <= 1.0 + tol.INTEGRAL_IDENTITY_TOL
-        and identity <= tol.INTEGRAL_IDENTITY_TOL
-    )
-    return MonotonicityReport(grid, i1, i2, i3, down, i2_down, identity, float(np.max(i2)), ok)
+    return MonotonicityReport(down, i2_down, identity, float(np.max(i2)))

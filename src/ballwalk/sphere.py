@@ -1,12 +1,10 @@
-"""Surface-area integration, uniform sampling, and volumes for (m-1)-spheres.
+"""Surface-area integration and uniform sampling on (m-1)-spheres.
 
 The sphere is charted by its first m-1 coordinates theta over the unit
 (m-1)-disc, one chart per hemisphere, with area element
 r^(m-1) / sqrt(1 - |theta|^2).  The singular weight is never evaluated near
 the equator: for m = 2 Chebyshev-Gauss quadrature has exactly that weight,
-for m = 3 the substitution rho = sin(u) cancels it, and the Monte Carlo rule
-importance-samples theta with density proportional to the weight (drop the
-last coordinate of a uniform sphere point).
+and for m = 3 the substitution rho = sin(u) cancels it.
 """
 
 from __future__ import annotations
@@ -41,45 +39,24 @@ def surface_area(m: int, r: float = 1.0) -> float:
     return r ** (m - 1) * s1
 
 
-def ball_volume(m: int, r: float = 1.0) -> float:
-    """Volume of the m-ball of radius r: r^m sigma_{m,1} / m."""
-    if m < 2:
-        raise ValueError("ball_volume needs dimension m >= 2")
-    if not r > 0.0:
-        raise ValueError("radius must be positive")
-    return r**m * surface_area(m, 1.0) / m
-
-
 @dataclass(frozen=True)
 class SurfaceQuadrature:
-    """A concrete rule for integrating over the sphere ``|z| = r`` in R^m.
-
-    ``chart-gauss`` is deterministic and available for m in {2, 3}; for m = 3
-    ``node_count`` is the per-axis resolution (total nodes 4 n^2).
-    ``chart-montecarlo`` works in any dimension and needs a seed.
+    """A deterministic chart rule for integrating over the sphere ``|z| = r``
+    in R^m, m in {2, 3}; for m = 3 ``node_count`` is the per-axis resolution
+    (total nodes 4 n^2).
     """
 
     m: int
     r: float = 1.0
-    method: str = "chart-gauss"
     node_count: int = 256
-    seed: int | None = None
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValueError("quadrature needs dimension m >= 2")
+        if self.m not in (2, 3):
+            raise ValueError("the chart rule is only available for m in {2, 3}")
         if not self.r > 0.0:
             raise ValueError("radius must be positive")
         if self.node_count < 1:
             raise ValueError("node_count must be >= 1")
-        if self.method == "chart-gauss":
-            if self.m not in (2, 3):
-                raise ValueError("chart-gauss is only available for m in {2, 3}")
-        elif self.method == "chart-montecarlo":
-            if self.seed is None:
-                raise ValueError("chart-montecarlo needs a seed")
-        else:
-            raise ValueError(f"unknown quadrature method {self.method!r}")
 
 
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -108,7 +85,7 @@ def quad_nodes(quad: SurfaceQuadrature) -> tuple[np.ndarray, np.ndarray]:
     integrands odd in the last coordinate cancel exactly.
     """
     m, r, n = quad.m, quad.r, quad.node_count
-    if quad.method == "chart-gauss" and m == 2:
+    if m == 2:
         k = np.arange(1, n + 1)
         theta = np.cos((2 * k - 1) * math.pi / (2 * n))  # Chebyshev-Gauss nodes
         h = np.sqrt(1.0 - theta**2)
@@ -117,33 +94,21 @@ def quad_nodes(quad: SurfaceQuadrature) -> tuple[np.ndarray, np.ndarray]:
         )
         w = np.full(2 * n, r * math.pi / n)
         return r * pts, w
-    if quad.method == "chart-gauss" and m == 3:
-        # rho = sin(u) turns the disc integral into r^2 sin(u) du dphi.
-        gl_x, gl_w = gauss_legendre(n)
-        u = (gl_x + 1.0) * (math.pi / 4.0)
-        wu = gl_w * (math.pi / 4.0) * np.sin(u)
-        nphi = 2 * n
-        phi = 2.0 * math.pi * np.arange(nphi) / nphi
-        wphi = 2.0 * math.pi / nphi
-        su, cu = np.sin(u), np.cos(u)
-        x1 = np.outer(su, np.cos(phi)).ravel()
-        x2 = np.outer(su, np.sin(phi)).ravel()
-        x3 = np.outer(cu, np.ones(nphi)).ravel()
-        pts = np.concatenate(
-            [np.column_stack([x1, x2, x3]), np.column_stack([x1, x2, -x3])]
-        )
-        w = np.concatenate([np.outer(wu, np.full(nphi, wphi)).ravel()] * 2) * r**2
-        return r * pts, w
-    # Monte Carlo: theta with density prop. to the chart weight is exactly the
-    # first m-1 coordinates of a uniform sphere point.
-    rng = rng_stream(quad.seed)
-    u = uniform_sphere_sample(rng, m, size=n)
-    theta = u[:, : m - 1]
-    h = np.abs(u[:, m - 1])
+    # m == 3: rho = sin(u) turns the disc integral into r^2 sin(u) du dphi.
+    gl_x, gl_w = gauss_legendre(n)
+    u = (gl_x + 1.0) * (math.pi / 4.0)
+    wu = gl_w * (math.pi / 4.0) * np.sin(u)
+    nphi = 2 * n
+    phi = 2.0 * math.pi * np.arange(nphi) / nphi
+    wphi = 2.0 * math.pi / nphi
+    su, cu = np.sin(u), np.cos(u)
+    x1 = np.outer(su, np.cos(phi)).ravel()
+    x2 = np.outer(su, np.sin(phi)).ravel()
+    x3 = np.outer(cu, np.ones(nphi)).ravel()
     pts = np.concatenate(
-        [np.column_stack([theta, h]), np.column_stack([theta, -h])]
+        [np.column_stack([x1, x2, x3]), np.column_stack([x1, x2, -x3])]
     )
-    w = np.full(2 * n, surface_area(m, r) / (2 * n))
+    w = np.concatenate([np.outer(wu, np.full(nphi, wphi)).ravel()] * 2) * r**2
     return r * pts, w
 
 
@@ -178,22 +143,14 @@ def mc_surface_area(m: int, n: int, seed: int) -> McEstimate:
     return McEstimate(scale * est.mean, scale * est.std_error)
 
 
-def uniform_sphere_sample(
-    rng: np.random.Generator,
-    m: int,
-    y=None,
-    r: float = 1.0,
-    size: int | None = None,
-):
-    """Uniform point(s) on the sphere of radius r about y.
+def uniform_sphere_sample(rng: np.random.Generator, m: int, *, size: int | None = None):
+    """Uniform point(s) on the unit sphere about 0.
 
     Normalizes a vector of independent standard Gaussians; rows with norm
     below 1e-300 (probability ~0) are redrawn.
     """
     if m < 1:
         raise ValueError("dimension must be >= 1")
-    if not r > 0.0:
-        raise ValueError("radius must be positive")
     n = 1 if size is None else int(size)
     x = rng.standard_normal((n, m))
     norms = np.linalg.norm(x, axis=1)
@@ -201,7 +158,5 @@ def uniform_sphere_sample(
         bad = norms < 1e-300
         x[bad] = rng.standard_normal((int(bad.sum()), m))
         norms = np.linalg.norm(x, axis=1)
-    pts = r * x / norms[:, None]
-    if y is not None:
-        pts = pts + np.asarray(y, dtype=float)
+    pts = x / norms[:, None]
     return pts[0] if size is None else pts

@@ -111,7 +111,7 @@ def test_criterion_01_closed_form_constants(run_a):
 def test_criterion_02_kernel_normalization():
     rng = rng_stream(SEED, 200)
     worst = 0.0
-    rules = {2: SurfaceQuadrature(2, 1.0, "chart-gauss", 2048), 3: SurfaceQuadrature(3, 1.0, "chart-gauss", 160)}
+    rules = {2: SurfaceQuadrature(2, node_count=2048), 3: SurfaceQuadrature(3, node_count=160)}
     for m, quad in rules.items():
         for _ in range(50):
             x = uniform_sphere_sample(rng, m) * rng.uniform(0.0, 0.9)
@@ -129,7 +129,7 @@ def test_criterion_03_mean_value_property():
                 y = uniform_sphere_sample(rng, m) * rng.uniform(0.0, 0.5)
                 r = float(rng.uniform(0.05, 0.8 * (1.0 - np.linalg.norm(y))))
                 n = 512 if u.name == "poisson-slice" else 128
-                quad = SurfaceQuadrature(m, r, "chart-gauss", n)
+                quad = SurfaceQuadrature(m, r, node_count=n)
                 worst = max(worst, mean_value_residual(u, y, r, quad))
     announce(3, worst <= 1e-6, f"worst mean-value residual = {worst:.2e} (tol 1e-6)")
 
@@ -137,7 +137,7 @@ def test_criterion_03_mean_value_property():
 def test_criterion_04_extension_of_coordinate():
     rng = rng_stream(SEED, 202)
     worst = 0.0
-    rules = {2: SurfaceQuadrature(2, 1.0, "chart-gauss", 2048), 3: SurfaceQuadrature(3, 1.0, "chart-gauss", 192)}
+    rules = {2: SurfaceQuadrature(2, node_count=2048), 3: SurfaceQuadrature(3, node_count=192)}
     for m, quad in rules.items():
         pts = uniform_sphere_sample(rng, m, size=100) * rng.uniform(0.0, 0.85, size=100)[:, None]
         for x in pts:
@@ -220,8 +220,8 @@ GRID_12 = np.arange(0.1, 0.951, 0.05)
 def _criterion_12_reports():
     out = []
     for m in (2, 3):
-        small = SurfaceQuadrature(m, 1.0, "chart-gauss", 128)
-        big = SurfaceQuadrature(m, 1.0, "chart-gauss", 2048 if m == 2 else 224)
+        small = SurfaceQuadrature(m, node_count=128)
+        big = SurfaceQuadrature(m, node_count=2048 if m == 2 else 224)
         for u in catalog(m, with_rates=False):
             quad = big if u.name == "poisson-slice" else small
             out.append((m, u.name, monotonicity_report(u, GRID_12, quad)))

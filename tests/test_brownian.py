@@ -18,7 +18,6 @@ from ballwalk.brownian import (
     exit_continuity_check,
     exit_points,
     exit_points_batch,
-    normal_cdf,
     reflection_crossing_mc,
     reflection_prob,
     scaling_check,
@@ -46,24 +45,6 @@ def erf_series(x: float) -> float:
 
 def phi_oracle(x: float) -> float:
     return 0.5 * (1.0 + erf_series(x / math.sqrt(2.0)))
-
-
-class TestNormalCdf:
-    def test_at_zero(self):
-        assert normal_cdf(0.0) == 0.5
-
-    def test_at_one_vs_series_oracle(self):
-        assert float(normal_cdf(1.0)) == pytest.approx(phi_oracle(1.0), abs=1e-9)
-        assert float(normal_cdf(1.0)) == pytest.approx(0.841344746, abs=1e-9)
-
-    @given(st.floats(-6.0, 6.0))
-    @settings(max_examples=100, deadline=None)
-    def test_symmetry(self, x):
-        assert float(normal_cdf(x)) + float(normal_cdf(-x)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_vs_oracle_grid(self):
-        for x in np.linspace(-3, 3, 25):
-            assert float(normal_cdf(x)) == pytest.approx(phi_oracle(float(x)), abs=1e-12)
 
 
 class TestReflectionProb:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from ballwalk import cli
 from ballwalk.cli import (
     EXIT_CONFIG_ERROR,
     STREAMS,
@@ -21,6 +22,7 @@ from ballwalk.cli import (
     parse_config_file,
     within,
 )
+from ballwalk.martingale import MonotonicityReport
 from ballwalk.stats import KsReport
 from ballwalk.streams import rng_stream
 
@@ -208,6 +210,24 @@ class TestContinuitySuite:
         assert pathwise["estimate"] is None and pathwise["pass"] is False
 
 
+class TestMartingaleSuite:
+    @pytest.mark.parametrize(
+        "broken",
+        [{}, {"max_down_step": -1e-6}, {"i2_max": 1.0 + 1e-9}, {"identity_defect": 1e-9}],
+        ids=["sound", "i1-i3-down-step", "i2-above-1", "identity-defect"],
+    )
+    def test_monotonicity_verdict_fails_on_each_broken_condition(self, tmp_path, monkeypatch, broken):
+        # the suite judges monotonicity_report's numbers itself; each of its three
+        # conditions alone must fail the verdict, and a sound report must pass it
+        sound = {"max_down_step": 0.0, "i2_down_step": 0.0, "identity_defect": 0.0, "i2_max": 1.0}
+        monkeypatch.setattr(cli, "monotonicity_report", lambda *args: MonotonicityReport(**{**sound, **broken}))
+        code = run_cli("martingale", "--out", str(tmp_path), *SMALL_ARGS["martingale"])
+        verdicts = json.loads((tmp_path / "martingale.json").read_text())["verdicts"]
+        mono = [v for v in verdicts if v["claim"].startswith("I1, I3 nondecreasing")]
+        assert mono and all(v["pass"] is (not broken) for v in mono)
+        assert code == (1 if broken else 0)
+
+
 # every suite at the smallest sizes it accepts (scaling's KS needs 50 paths)
 SMALL_ARGS = {
     "constants": [],
@@ -326,6 +346,21 @@ class TestScripts:
         assert len(cells) == 16
         assert cells["m=2 s=0.999"]["proposals_per_point"] == 1.0
         assert all(c["exits_per_s"] > 0 for c in cells.values())
+
+    def test_bench_blas_free_tables_child_runs(self):
+        # the tables child builds its rules against whichever checkout's src is on the path
+        root = Path(__file__).resolve().parents[1]
+        src = str(root / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "bench_blas_free.py"), "--child", "tables", "--tables", "1"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        tables = json.loads(proc.stdout.splitlines()[-1])
+        assert tables["m2_n2048"]["nodes_per_radius"] == 2 * 2048
+        assert tables["m3_n224"]["nodes_per_radius"] == 4 * 224**2
+        assert all(t["tables"] == 1 and t["nodes_per_s"] > 0 for t in tables.values())
 
 
 class TestTracerHooks:

@@ -15,7 +15,7 @@ from ballwalk.hardy_limit import (
 from ballwalk.sphere import SurfaceQuadrature
 from ballwalk.streams import rng_stream
 
-GAUSS2 = SurfaceQuadrature(2, 1.0, "chart-gauss", 512)
+GAUSS2 = SurfaceQuadrature(2, node_count=512)
 
 
 def synthetic_rates(d1, d2, b1=0.0, b2=1.0):
@@ -91,8 +91,8 @@ class TestGammaConsistency:
         # certificate needs a geometric tail grid and a very dense rule.
         tail = 1.0 - np.geomspace(0.05, 1e-4, 18)
         dense = np.concatenate([np.linspace(0.1, 0.9, 9), tail])
-        big = SurfaceQuadrature(2, 1.0, "chart-gauss", 2**17)
-        mid = SurfaceQuadrature(2, 1.0, "chart-gauss", 4096)
+        big = SurfaceQuadrature(2, node_count=2**17)
+        mid = SurfaceQuadrature(2, node_count=4096)
         for u in catalog(2, with_rates=False):
             if u.name == "poisson-slice":
                 rates = estimate_rates(u, r_grid=dense, quad=big)

@@ -22,8 +22,8 @@ from ballwalk import harmonic
 from ballwalk.sphere import SurfaceQuadrature, quad_nodes, surface_area, surface_integral, uniform_sphere_sample
 from ballwalk.streams import rng_stream
 
-GAUSS2 = SurfaceQuadrature(2, 1.0, "chart-gauss", 512)
-GAUSS3 = SurfaceQuadrature(3, 1.0, "chart-gauss", 128)
+GAUSS2 = SurfaceQuadrature(2, node_count=512)
+GAUSS3 = SurfaceQuadrature(3, node_count=128)
 ORIGIN2 = np.zeros(2)
 
 
@@ -58,7 +58,7 @@ class TestPoissonKernel:
 
     def test_normalization(self, rng):
         # raw kernel mass against the uniform distribution, no self-normalization
-        rules = {2: SurfaceQuadrature(2, 1.0, "chart-gauss", 2048), 3: GAUSS3}
+        rules = {2: SurfaceQuadrature(2, node_count=2048), 3: GAUSS3}
         for m, quad in rules.items():
             for _ in range(50):
                 x = uniform_sphere_sample(rng, m) * rng.uniform(0.0, 0.9)
@@ -93,7 +93,7 @@ class TestPoissonExtend:
     def test_offcenter_ball(self, rng):
         # extension of z1 over D(y, r) reproduces x1 as well
         y = np.array([0.2, -0.1])
-        quad = SurfaceQuadrature(2, 0.5, "chart-gauss", 512)
+        quad = SurfaceQuadrature(2, 0.5, node_count=512)
         for _ in range(10):
             x = y + uniform_sphere_sample(rng, 2) * rng.uniform(0.0, 0.4)
             val = poisson_extend(lambda z: z[:, 0], y, 0.5, x, quad)
@@ -107,7 +107,7 @@ class TestPoissonExtend:
         errs = []
         for k in range(1, 5):
             x = (1.0 - 10.0**-k) * z
-            quad = SurfaceQuadrature(2, 1.0, "chart-gauss", 4096)
+            quad = SurfaceQuadrature(2, node_count=4096)
             errs.append(abs(poisson_extend(lambda w: w[:, 0], ORIGIN2, 1.0, x, quad) - z[0]))
         assert all(errs[i + 1] <= errs[i] + 1e-12 for i in range(3))
         assert errs[-1] <= 1e-3
@@ -115,25 +115,34 @@ class TestPoissonExtend:
 
 class TestMeanValue:
     def test_linear(self):
-        quad = SurfaceQuadrature(2, 0.2, "chart-gauss", 256)
+        quad = SurfaceQuadrature(2, 0.2, node_count=256)
         y = np.array([0.3, 0.0])
         assert mean_value_residual(lambda x: x[:, 0], y, 0.2, quad) <= 1e-8
 
     def test_odd_product(self):
-        quad = SurfaceQuadrature(3, 0.4, "chart-gauss", 64)
+        quad = SurfaceQuadrature(3, 0.4, node_count=64)
         u = lambda x: x[:, 0] * x[:, 1]
         assert mean_value_residual(u, np.zeros(3), 0.4, quad) <= 1e-8
 
     def test_squared_norm_is_not_harmonic(self):
         # the sphere average of |x|^2 at radius r is r^2, not 0
-        quad = SurfaceQuadrature(2, 0.5, "chart-gauss", 256)
+        quad = SurfaceQuadrature(2, 0.5, node_count=256)
         u = lambda x: x[:, 0] ** 2 + x[:, 1] ** 2
         assert mean_value_residual(u, ORIGIN2, 0.5, quad) == pytest.approx(0.25, abs=1e-10)
 
     def test_ball_must_fit(self):
-        quad = SurfaceQuadrature(2, 0.5, "chart-gauss", 64)
+        quad = SurfaceQuadrature(2, 0.5, node_count=64)
         with pytest.raises(ValueError):
             mean_value_residual(lambda x: x[:, 0], np.array([0.6, 0.0]), 0.5, quad)
+
+    def test_rule_radius_must_match(self):
+        # a unit rule averages the slice over |z - y| = 1, outside the ball, and
+        # reported a residual of 2.857 where the rule of radius 0.2 gives 2.2e-16
+        u = next(f for f in catalog(2, with_rates=False) if f.name == "poisson-slice")
+        y = np.array([0.3, 0.0])
+        assert mean_value_residual(u, y, 0.2, SurfaceQuadrature(2, 0.2, node_count=256)) <= 1e-14
+        with pytest.raises(ValueError, match="radius"):
+            mean_value_residual(u, y, 0.2, SurfaceQuadrature(2, node_count=256))
 
 
 class TestLaplacianFd:
@@ -200,8 +209,8 @@ def _row_with_own_rule(u, r, quad):
 class TestHardyTable:
     @pytest.mark.parametrize("m", [2, 3])
     def test_rows_equal_per_radius_integrals_bit_for_bit(self, m):
-        small = SurfaceQuadrature(m, 1.0, "chart-gauss", 128)
-        big = SurfaceQuadrature(m, 1.0, "chart-gauss", 2048 if m == 2 else 224)
+        small = SurfaceQuadrature(m, node_count=128)
+        big = SurfaceQuadrature(m, node_count=2048 if m == 2 else 224)
         for u in [*catalog(m, with_rates=False), zero_fn(m)]:
             quad = big if u.name == "poisson-slice" else small
             table = np.column_stack(hardy_table(u, MONOTONE_GRID, quad))
@@ -228,7 +237,7 @@ class TestHardyTable:
             hardy_table(zero_fn(2), grid, GAUSS2)
 
     def test_off_unit_sphere_rule_raises(self):
-        quad = SurfaceQuadrature(2, 0.5, "chart-gauss", 64)
+        quad = SurfaceQuadrature(2, 0.5, node_count=64)
         with pytest.raises(ValueError):
             hardy_table(zero_fn(2), [0.3, 0.6], quad)
         with pytest.raises(ValueError):
@@ -238,7 +247,7 @@ class TestHardyTable:
 class TestEstimateRates:
     def test_zero_function(self):
         u = zero_fn(2)
-        rates = estimate_rates(u, quad=SurfaceQuadrature(2, 1.0, "chart-gauss", 64))
+        rates = estimate_rates(u, quad=SurfaceQuadrature(2, node_count=64))
         assert rates.b1 == pytest.approx(0.0, abs=1e-12)
         assert rates.b2 == pytest.approx(1.0, abs=1e-12)
         gap = float(np.min(np.diff(DEFAULT_RATE_GRID)))
@@ -268,7 +277,7 @@ class TestEstimateRates:
             modulus_of_continuity=lambda r, e: e,
         )
         with pytest.raises(InvariantViolation):
-            estimate_rates(bad, quad=SurfaceQuadrature(2, 1.0, "chart-gauss", 256))
+            estimate_rates(bad, quad=SurfaceQuadrature(2, node_count=256))
 
 
 class TestCatalog:
@@ -298,7 +307,7 @@ class TestCatalog:
                 assert abs(laplacian_fd(u, x, 1e-4)) <= 1e-4
 
     def test_slice_boundary_integral_is_one(self):
-        quad = SurfaceQuadrature(2, 1.0, "chart-gauss", 1024)
+        quad = SurfaceQuadrature(2, node_count=1024)
         u = [f for f in catalog(2, with_rates=False) if f.name == "poisson-slice"][0]
         for r in np.linspace(0.1, 0.95, 9):
             i1, _, _ = hardy_integrals(u, float(r), quad)
@@ -327,5 +336,5 @@ class TestCatalog:
                     y = uniform_sphere_sample(rng, m) * rng.uniform(0.0, 0.5)
                     r = rng.uniform(0.05, 0.8 * (1.0 - np.linalg.norm(y)))
                     n = 512 if u.name == "poisson-slice" else 128
-                    quad = SurfaceQuadrature(m, float(r), "chart-gauss", n)
+                    quad = SurfaceQuadrature(m, float(r), node_count=n)
                     assert mean_value_residual(u, y, float(r), quad) <= 1e-6
