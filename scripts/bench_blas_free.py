@@ -1,18 +1,9 @@
-"""Cost of the quadrature with and without numpy's threaded BLAS, and the benchmark's medians.
+"""Throughput of the quadrature layer, and the benchmark's medians.
 
     python3 scripts/bench_blas_free.py --side NAME=CHECKOUT [--side NAME=CHECKOUT ...]
         [--tables N] [--perfbench-seconds S] [--out FILE]
 
-Per-call probes run once, in a child process with the last side's src on
-its path: after 0.4 s idle, so that OpenBLAS's worker threads have gone to
-sleep, one call is timed and the process CPU is read over the call and the
-0.4 s that follow it, which counts the CPU a worker thread spins for after
-the call returns.  Probed: ``np.polynomial.legendre.leggauss`` (LAPACK
-``eigvalsh``) and ``ballwalk.sphere.gauss_legendre`` at 128, 192 and 224
-nodes, and ``np.dot`` (BLAS) and ``np.einsum("i,i", ...)`` at 65,536 and
-200,704 values.  Each figure is the median of five such calls.
-
-For each side, one child then times ``hardy_table`` on the poisson-slice
+For each side, one child times ``hardy_table`` on the poisson-slice
 member over ``arange(0.1, 0.951, 0.05)`` (18 radii) with the chart rules
 m=2 at 2048 nodes and m=3 at 224 per axis, after one warm-up call:
 nodes/s = nodes per radius x 18 / median table time (N tables at m=2, N/6
@@ -37,41 +28,7 @@ from pathlib import Path
 
 from bench_exit_sampler import PAIRS, perfbench_run, run_pairs
 
-IDLE_S = 0.4
-RULE_SIZES = (128, 192, 224)
-SUM_SIZES = (65_536, 200_704)
 TABLES = {"m2_n2048": (2, 2048), "m3_n224": (3, 224)}
-
-
-def probe(fn) -> dict:
-    """Wall time of one call after IDLE_S idle; CPU over the call and IDLE_S after it."""
-    walls, cpus = [], []
-    for _ in range(5):
-        time.sleep(IDLE_S)
-        c0, t0 = time.process_time(), time.perf_counter()
-        fn()
-        t1 = time.perf_counter()
-        time.sleep(IDLE_S)
-        walls.append(t1 - t0)
-        cpus.append(time.process_time() - c0)
-    return {"call_ms": 1e3 * statistics.median(walls), "cpu_ms": 1e3 * statistics.median(cpus)}
-
-
-def probes() -> dict:
-    """Runs in the child."""
-    import numpy as np
-
-    from ballwalk.sphere import gauss_legendre
-
-    out = {}
-    for n in RULE_SIZES:
-        out[f"leggauss_{n}"] = probe(lambda: np.polynomial.legendre.leggauss(n))
-        out[f"gauss_legendre_{n}"] = probe(lambda: gauss_legendre(n))
-    for n in SUM_SIZES:
-        w, x = np.random.default_rng(n).random((2, n))
-        out[f"dot_{n}"] = probe(lambda: np.dot(w, x))
-        out[f"einsum_{n}"] = probe(lambda: np.einsum("i,i", w, x))
-    return out
 
 
 def tables(count: int) -> dict:
@@ -106,7 +63,7 @@ def child(root: Path, *args: str) -> dict:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--child", choices=("probes", "tables"), help=argparse.SUPPRESS)
+    ap.add_argument("--child", choices=("tables",), help=argparse.SUPPRESS)
     ap.add_argument("--side", action="append", default=[], metavar="NAME=CHECKOUT",
                     help="a checkout whose src/ is measured, under NAME; repeat for each side")
     ap.add_argument("--tables", type=int, default=30, help="timed tables at m=2 (a sixth as many at m=3)")
@@ -114,14 +71,13 @@ def main() -> int:
     ap.add_argument("--out", type=Path, default=Path("BENCH_blas_free.json"))
     ns = ap.parse_args()
     if ns.child:
-        print(json.dumps(probes() if ns.child == "probes" else tables(ns.tables)))
+        print(json.dumps(tables(ns.tables)))
         return 0
     if not ns.side or not all("=" in side for side in ns.side):
         ap.error("give at least one --side NAME=CHECKOUT")
     sides = {name: Path(root).resolve() for name, root in (side.split("=", 1) for side in ns.side)}
     names = list(sides)
     record = {"python": platform.python_version(), "nproc": os.cpu_count(),
-              "probes": child(sides[names[-1]], "--child", "probes"),
               "hardy_table": {name: [] for name in names}}
     for i in range(2):
         for name in names if i % 2 == 0 else names[::-1]:

@@ -91,25 +91,12 @@ class PathConfig:
             raise ValueError("dimension must be >= 1")
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
-        if self.horizon < self.dt:
-            raise ValueError("horizon must be >= dt")
+        if not self.dt <= self.horizon < math.inf:
+            raise ValueError(f"horizon must be finite and >= dt, got {self.horizon}")
 
     @property
     def n_steps(self) -> int:
         return int(math.ceil(self.horizon / self.dt))
-
-
-@dataclass(frozen=True)
-class ExitEvent:
-    tau: float
-    exit_point: np.ndarray
-
-
-@dataclass(frozen=True)
-class CensoredExit:
-    """Horizon ran out before the path left the ball."""
-
-    elapsed: float
 
 
 def run_chunks(cfg: PathConfig, n_paths: int, fn, workers: int = 1) -> tuple:
@@ -275,13 +262,14 @@ def exit_points(ex: ChunkExits, r: float, dt: float) -> tuple[np.ndarray, np.nda
     return tau, pts
 
 
-def simulate_exit(cfg: PathConfig, r: float):
-    """One discretized path from the origin until it leaves D(0, r); returns (event, trace).
+def simulate_exit(cfg: PathConfig, r: float) -> tuple[float, np.ndarray]:
+    """One discretized path from the origin until it leaves D(0, r); returns (tau, trace).
 
-    The trace rows are (t, x_1 .. x_m) including the start and the exit (or
-    censoring) point.  The path is one row of ``euler_chunk`` drawn from the
-    stream (seed, stream_id), not through ``run_chunks``, with the exit
-    placed by ``exit_points``.
+    The trace rows are (t, x_1 .. x_m) from the start to the exit point, or to
+    the censoring point, where tau is NaN as in ``exit_points_batch``'s
+    points.  The path is one row of ``euler_chunk`` drawn from the stream
+    (seed, stream_id), not through ``run_chunks``, with the exit placed by
+    ``exit_points``.
     """
     x0 = np.zeros(cfg.m)
     rows = [np.zeros((1, cfg.m + 1))]
@@ -292,10 +280,10 @@ def simulate_exit(cfg: PathConfig, r: float):
 
     ex = euler_chunk(rng_stream(cfg.seed, cfg.stream_id), x0, 1, cfg.dt, cfg.n_steps, r, observe=trace)
     if ex.censored[0]:
-        return CensoredExit(elapsed=float(ex.t0[0])), np.concatenate(rows)
+        return math.nan, np.concatenate(rows)
     tau, pts = exit_points(ex, r, cfg.dt)
     rows.append(np.concatenate([tau[:1], pts[0]])[None])
-    return ExitEvent(float(tau[0]), pts[0]), np.concatenate(rows)
+    return float(tau[0]), np.concatenate(rows)
 
 
 def exit_points_batch(cfg: PathConfig, x0, r: float, n_paths: int, workers: int = 1):

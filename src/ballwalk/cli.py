@@ -4,7 +4,9 @@ Each subcommand checks one family of quantitative claims, writes a CSV of the
 underlying numbers and a JSON verdict, and exits 0 on pass / 1 on failure.
 ``report`` folds all verdicts in a directory into summary.json and exits with
 the number of failed suites.  Outputs are byte-stable: same config and seed
-give identical files at any worker count.
+give identical files, CSV and verdict JSON alike, at any worker count (the
+JSON echoes the config without ``workers`` and ``out_dir``).  A bad config,
+or a value a suite rejects, exits EXIT_CONFIG_ERROR = 64.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ from .streams import rng_stream
 EXIT_CONFIG_ERROR = 64
 
 # Random stream ids of the suites, each a range: scaling keys 0 and 1 for its two samples,
-# tightness 30 + k for k = 1..3, hardy-limit 50 + i for its i-th member.  perfbench/child.py
-# keys streams 42 and 60 of its own.
+# tightness 30 + k for k = 1..3, hardy-limit 50 + i for its i-th member, constants 80 + m - 4
+# for its Monte Carlo area at m = 4, 5.  perfbench/child.py keys streams 42 and 60 of its own.
 STREAMS = {
     "scaling": range(0, 2),
     "exit-dist/centered": range(10, 11), "exit-dist/off-center": range(11, 12),
@@ -57,7 +59,7 @@ STREAMS = {
     "exit-dist/trace": range(14, 15), "reflection": range(20, 21), "tightness": range(31, 34),
     "martingale/lambda-bar": range(40, 41), "martingale/skeleton": range(41, 42),
     "martingale/skeleton-m3": range(43, 44),
-    "hardy-limit": range(50, 53), "continuity": range(70, 71),
+    "hardy-limit": range(50, 53), "continuity": range(70, 71), "constants": range(80, 82),
 }
 
 
@@ -79,8 +81,8 @@ class RunConfig:
             raise ConfigError("m must be >= 1")
         if not self.dt > 0:
             raise ConfigError("dt must be positive")
-        if self.horizon < self.dt:
-            raise ConfigError("horizon must be >= dt")
+        if not self.dt <= self.horizon < math.inf:
+            raise ConfigError(f"horizon must be finite and >= dt, got {self.horizon}")
         if self.n_paths < 1:
             raise ConfigError("n_paths must be >= 1")
         if self.q_max < 1:
@@ -197,7 +199,7 @@ def write_suite(out_dir: Path, suite: str, cfg: RunConfig, columns, rows, verdic
     meta = {"suite": suite, "seed": cfg.seed, "dt": _fmt(cfg.dt), "n_paths": cfg.n_paths}
     write_csv(out_dir / f"{suite}.csv", columns, rows, meta)
     ok = all(v["pass"] for v in verdicts)
-    echo = {f.name: getattr(cfg, f.name) for f in fields(RunConfig) if f.name != "out_dir"}
+    echo = {f.name: getattr(cfg, f.name) for f in fields(RunConfig) if f.name not in ("out_dir", "workers")}
     payload = {
         "suite": suite,
         "seed": cfg.seed,
@@ -222,7 +224,7 @@ def suite_constants(cfg: RunConfig, out: Path) -> bool:
             tolerance = 1e-10 if m == 2 else 1e-8
             claim = f"chart quadrature of 1 over the unit (m-1)-sphere equals sigma({m},1)"
         else:
-            mc = mc_surface_area(m, 10**6, cfg.seed + m)
+            mc = mc_surface_area(m, 10**6, rng_stream(cfg.seed, STREAMS["constants"][m - 4]))
             est = mc.mean
             tolerance = max(5.0 * mc.std_error, 1e-12)
             claim = f"weighted-disc Monte Carlo reproduces sigma({m},1) within 5 se"
@@ -261,13 +263,13 @@ def suite_exit_dist(cfg: RunConfig, out: Path) -> bool:
     ks2 = ks_two_sample(pts2[~cen2, 0], zw2[:, 0])
     verdicts.append(ks_below("discretized and exact exit engines sample the same z1 law (KS at 5%)", ks2))
     # export one demo path trace as (t, x1..xm) rows
-    event, trace = simulate_exit(cfg.path("exit-dist/trace", m=2), 1.0)
+    tau, trace = simulate_exit(cfg.path("exit-dist/trace", m=2), 1.0)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(
         out / "exit-dist-trace.csv",
         ["t", "x1", "x2"],
         [list(row) for row in trace],
-        {"suite": "exit-dist", "seed": cfg.seed, "tau": _fmt(getattr(event, "tau", float("nan")))},
+        {"suite": "exit-dist", "seed": cfg.seed, "tau": _fmt(tau)},
     )
     rows = [[i, t, *p] for i, (t, p) in enumerate(zip(taus[~cen][:2000], pts[~cen][:2000]))]
     cols = ["path", "tau", "z1", "z2", "z3"]
@@ -393,14 +395,10 @@ def suite_hardy_limit(cfg: RunConfig, out: Path) -> bool:
     verdicts = []
     rows = []
     cat = catalog(2, with_rates=False)
-    zero = zero_fn(2)
-    members = {
-        "x1": (cat[0], estimate_rates(cat[0])),
-        "poisson-slice": (cat[-1], estimate_rates(cat[-1])),
-        "zero": (zero, zero.hardy),
-    }
-    for i, (name, (fn, rates)) in enumerate(members.items()):
-        sched = radius_schedule(rates, cfg.q_max, cfg.variant)
+    members = {"x1": cat[0], "poisson-slice": cat[-1], "zero": zero_fn(2)}
+    rates = {name: estimate_rates(fn) for name, fn in members.items()}
+    for i, (name, fn) in enumerate(members.items()):
+        sched = radius_schedule(rates[name], cfg.q_max, cfg.variant)
         pc = cfg.path("hardy-limit", i, m=2)
         rep = limit_experiment(fn, sched, pc, cfg.n_paths, cfg.r_trunc, workers=cfg.workers)
         for row in rep.rows:
@@ -414,10 +412,9 @@ def suite_hardy_limit(cfg: RunConfig, out: Path) -> bool:
             total = sum(r.exceedance for r in rep.rows)
             verdicts.append(within("zero function: exceedance identically 0", 0.0, total, 0.0))
     # variant dominance: conservative-min radii dominate both published constants
-    rates = members["x1"][1]
-    cons = radius_schedule(rates, cfg.q_max, "conservative-min").radii
+    cons = radius_schedule(rates["x1"], cfg.q_max, "conservative-min").radii
     for var in ("paper-133", "paper-step10"):
-        other = radius_schedule(rates, cfg.q_max, var).radii
+        other = radius_schedule(rates["x1"], cfg.q_max, var).radii
         verdicts.append(at_least(f"conservative-min radii dominate {var}", 0.0, float(np.min(cons - other)), 1e-15))
     cols = ["member", "q", "r_q", "bound", "exceedance", "std_error", "pass"]
     return write_suite(out, "hardy-limit", cfg, cols, rows, verdicts)

@@ -307,11 +307,9 @@ def catalog(m: int = 2, with_rates: bool = True):
 
 
 def zero_fn(m: int) -> HarmonicFn:
-    """The zero function with exact rate data (limits 0 and 1)."""
+    """The zero function on the unit ball of R^m; its I1 = 0 and I2 = 1 exactly."""
 
     def zero(x):
         return np.zeros(np.asarray(x).shape[:-1])
 
-    u = HarmonicFn("0", m, zero, _lipschitz_modulus(1.0), boundary_fn=zero)
-    quad = SurfaceQuadrature(m, node_count=64) if m in (2, 3) else None
-    return replace(u, hardy=estimate_rates(u, quad=quad))
+    return HarmonicFn("0", m, zero, _lipschitz_modulus(1.0), boundary_fn=zero)

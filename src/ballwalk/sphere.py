@@ -16,7 +16,6 @@ from typing import Callable
 import numpy as np
 
 from .stats import McEstimate, mc_estimate
-from .streams import rng_stream
 
 
 def surface_area(m: int, r: float = 1.0) -> float:
@@ -126,8 +125,8 @@ def surface_integral(g: Callable, quad: SurfaceQuadrature) -> float:
     return float(np.sum(w * eval_on_points(g, pts)))
 
 
-def mc_surface_area(m: int, n: int, seed: int) -> McEstimate:
-    """Monte Carlo estimate of surface_area(m, 1) from weighted disc samples.
+def mc_surface_area(m: int, n: int, rng: np.random.Generator) -> McEstimate:
+    """Monte Carlo estimate of surface_area(m, 1) from n weighted disc samples.
 
     In polar chart coordinates the total area is
     2 sigma_{m-1,1} * integral of rho^(m-2) / sqrt(1 - rho^2) over (0, 1);
@@ -136,7 +135,6 @@ def mc_surface_area(m: int, n: int, seed: int) -> McEstimate:
     """
     if m < 3:
         raise ValueError("the radial chart estimator needs m >= 3")
-    rng = rng_stream(seed)
     u = rng.uniform(0.0, math.pi / 2.0, size=n)
     scale = 2.0 * surface_area(m - 1, 1.0) * (math.pi / 2.0)
     est = mc_estimate(np.sin(u) ** (m - 2))

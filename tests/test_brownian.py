@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 from ballwalk import brownian
 from ballwalk.brownian import (
-    CensoredExit,
     ChunkExits,
-    ExitEvent,
     PathConfig,
     euler_chunk,
     exit_continuity_check,
@@ -127,23 +125,23 @@ class TestSimulateExit:
     CFG = PathConfig(m=2, dt=1e-3, horizon=50.0, seed=99)
 
     def test_exit_on_sphere_with_trace(self):
-        event, trace = simulate_exit(self.CFG, 1.0)
-        assert isinstance(event, ExitEvent)
-        assert abs(np.linalg.norm(event.exit_point) - 1.0) <= 1e-9
-        assert event.tau > 0
+        tau, trace = simulate_exit(self.CFG, 1.0)
+        assert tau > 0
         assert trace.shape[1] == 3  # (t, x1, x2)
-        assert trace[0, 0] == 0.0 and trace[-1, 0] == pytest.approx(event.tau)
+        assert trace[0, 0] == 0.0 and trace[-1, 0] == tau
+        assert abs(np.linalg.norm(trace[-1, 1:]) - 1.0) <= 1e-9  # the exit point
 
     def test_censoring(self):
         cfg = PathConfig(m=2, dt=1e-3, horizon=0.002, seed=99)
-        event, trace = simulate_exit(cfg, 5.0)
-        assert isinstance(event, CensoredExit)
-        assert event.elapsed >= 0.002
+        tau, trace = simulate_exit(cfg, 5.0)
+        assert math.isnan(tau)
+        assert trace[-1, 0] >= 0.002  # the elapsed time, at the censoring point
+        assert np.linalg.norm(trace[-1, 1:]) < 5.0
 
     def test_deterministic(self):
-        a, _ = simulate_exit(self.CFG, 1.0)
-        b, _ = simulate_exit(self.CFG, 1.0)
-        assert a.tau == b.tau and np.array_equal(a.exit_point, b.exit_point)
+        tau_a, trace_a = simulate_exit(self.CFG, 1.0)
+        tau_b, trace_b = simulate_exit(self.CFG, 1.0)
+        assert tau_a == tau_b and np.array_equal(trace_a, trace_b)
 
     def test_start_outside_rejected(self):
         # the path starts at the origin, which no ball D(0, r) with r <= 0 holds
@@ -554,3 +552,6 @@ class TestPathConfig:
             PathConfig(m=2, dt=0.0, horizon=1.0, seed=1)
         with pytest.raises(ValueError):
             PathConfig(m=2, dt=1e-3, horizon=1e-4, seed=1)
+        for horizon in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="horizon must be finite"):
+                PathConfig(m=2, dt=1e-3, horizon=horizon, seed=1)

@@ -74,6 +74,13 @@ class TestConfigFile:
         data = json.loads((tmp_path / "b" / "constants.json").read_text())
         assert data["seed"] == 2
 
+    @pytest.mark.parametrize("suite", ["scaling", "hardy-limit"])
+    @pytest.mark.parametrize("horizon", ["inf", "nan"])
+    def test_non_finite_horizon_exits_64(self, tmp_path, capsys, suite, horizon):
+        assert run_cli(suite, "--out", str(tmp_path), "--horizon", horizon) == EXIT_CONFIG_ERROR
+        assert f"config error: horizon must be finite and >= dt, got {horizon}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_suite_value_error_exits_64(self, tmp_path, capsys):
         # the two-sample KS of the scaling suite needs 50 paths per sample
         assert run_cli("scaling", "--out", str(tmp_path), "--paths", "20", "--dt", "0.01") == EXIT_CONFIG_ERROR
@@ -168,14 +175,16 @@ class TestDeterminism:
         a, b = tmp_path / "w1", tmp_path / "w4"
         assert run_cli("scaling", "--out", str(a), "--paths", "400", "--dt", "0.005", "--seed", "12", "--workers", "1") == 0
         assert run_cli("scaling", "--out", str(b), "--paths", "400", "--dt", "0.005", "--seed", "12", "--workers", "4") == 0
-        assert (a / "scaling.csv").read_bytes() == (b / "scaling.csv").read_bytes()
+        for name in ("scaling.csv", "scaling.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_continuity_worker_count_invariance(self, tmp_path):
         a, b = tmp_path / "w1", tmp_path / "w2"
         for out, workers in ((a, "1"), (b, "2")):
             args = ["--out", str(out), "--paths", "9000", "--dt", "0.005", "--seed", "13", "--workers", workers]
             assert run_cli("continuity", *args) == 0
-        assert (a / "continuity.csv").read_bytes() == (b / "continuity.csv").read_bytes()
+        for name in ("continuity.csv", "continuity.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_blas_thread_count_invariance(self, tmp_path):
         # the quadrature suites' sums and rules run no threaded BLAS or LAPACK code,
@@ -268,17 +277,14 @@ class TestStreams:
         assert not shared
 
     def test_streams_lists_every_keyed_stream(self, users):
-        # a stream (seed, id, ...) at the suite's seed has its id in one of the suite's
-        # STREAMS ranges; constants' unkeyed mc_surface_area(seed + m) streams are the exception
+        # every stream is (seed, id, ...) at the suite's seed, with its id in one of the
+        # suite's STREAMS ranges
         seed = RunConfig().seed
         listed = {suite: {i for name, ids in STREAMS.items() if name.split("/")[0] == suite for i in ids}
                   for suite in SUITES}
         for (s, *key), suites in users.items():
             for suite in suites:
-                if key and s == seed:
-                    assert key[0] in listed[suite], (suite, s, *key)
-                else:
-                    assert suite == "constants" and not key and s - seed in (4, 5), (suite, s, *key)
+                assert s == seed and key and key[0] in listed[suite], (suite, s, *key)
 
     def test_stream_ranges_never_overlap(self):
         ids = [i for ids in STREAMS.values() for i in ids]
@@ -297,6 +303,11 @@ class TestImportPath:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.splitlines()
+
+    def test_package_import_loads_nothing(self):
+        # the package root re-exports nothing: importing it loads no submodule and no numpy
+        code = "import sys, ballwalk\nprint(sorted(m for m in sys.modules if m.startswith(('ballwalk.', 'numpy'))))\n"
+        assert self.run(code) == ["[]"]
 
     def test_cli_import_loads_no_scipy(self):
         from scipy import special
@@ -412,23 +423,23 @@ class TestGoldenOutputs:
     """
 
     DIGESTS = {
-        "constants.csv": "6cd57bd9a29e4b4a0e805baa696e5c1ea613941c86adde80290d137289964610",
-        "constants.json": "6868de6f466340c5241dd3b0e66798de56c7e37d977f81add87a61d7f4d0a329",
+        "constants.csv": "42a1c589631a15b81618d85e0d53c131e0f537fe06015167f612c6760860ea9b",
+        "constants.json": "1160c93f10b647a2a1c63d3a7e3676a0a8b62f426fcc63d1b85b903da0f6e0a1",
         "continuity.csv": "8bfd2ab34f4019c80cb8b8abf9312ab0af9488f35a87a92824edbe2c4df67d65",
-        "continuity.json": "dfe78f34281dc07f75b70f6dddfe4e217e08650f8a44a548719d87c3f5face6d",
+        "continuity.json": "a03a74190808096eccdedad17e676959005cb0bad5412df7a2fb6c4ebc20c329",
         "exit-dist-trace.csv": "781919ffa4f740faf21da0bbb959fcaf3d766f69306f66da3dc0117ae3f7b2de",
         "exit-dist.csv": "1a7251cee74b12b9c1d56affc3ca9ca30b7071455d04a6668419372cd5e7cc92",
-        "exit-dist.json": "4c71ce19165098d733137da7da0a30b0e0225a4ee47c72e3d9c3f2a4c4c83cad",
+        "exit-dist.json": "ac54fbdc9c2ab76c87f09087fbff7723c7ac176139b33288382c314301b954e3",
         "hardy-limit.csv": "d1b49d9d31fbd9646817d5606f43069f7bd3e20e3d5321e3b489c43d7a192b87",
-        "hardy-limit.json": "1fc8d70c911d0ce7e022e22640aad026869e707df2dc136a69a5c07afa1a9a85",
+        "hardy-limit.json": "70412a527c0f66396b6dce16572ec7b1ccce2ea003e7650b964d810b3006f5f3",
         "martingale.csv": "3f3d32bc80cffced475691e2e7b714a381f3904dddd5d3f0ca0031dd566f5ee9",
-        "martingale.json": "58d71480909be546929f2d0f354e4d17a9e4cc35220b35aa87fcc55772b377cf",
+        "martingale.json": "e996d6c454d0c6ffa66d92b63556ceaf278e5baf02deb6bfee26ee238386a405",
         "reflection.csv": "3f94f20a88d6d93aa79bce42e70b5f4f52cb24c0ebdfa073e3cab76e0bc7bae8",
-        "reflection.json": "6837ae5bdaf30e9018ca6cebd7b268708bca1d29d58a8fa3c1f0a5d2923c242a",
+        "reflection.json": "cd5d4c748f836219ea31dd38437137144b2e50ab3a0a6d50cb4928162141b6c5",
         "scaling.csv": "7dc1cd7d3cb9a18a4dcea941ee778d648b22a5be037a8c789d6a0bfa7f07068c",
-        "scaling.json": "f13c9f97e4aa3ed9a77b0d97d871a432f4980049a0b289135a0e8c9f5c1d332f",
+        "scaling.json": "3c56572cb2edd61c44b411f5b8728409998c2acaee2d516e5beaa57e641e8685",
         "tightness.csv": "0eca15aba1cb5eeb4e4dd29f394925ddc178944eeb5548119c0fea577909ff76",
-        "tightness.json": "888d3b51860e89d948499fab1dbf7a5a1a51aeeb55efd295c31cf8bc769d6d5e",
+        "tightness.json": "4686ead62ffe95abacc985437711341229b51c820efa84f89c8f4f6ec1cfffeb",
     }
 
     def test_outputs_match_recorded_digests(self, tmp_path):

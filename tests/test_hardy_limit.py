@@ -113,7 +113,7 @@ class TestLimitExperiment:
     CFG = PathConfig(m=2, dt=5e-4, horizon=100.0, seed=20260809)
 
     def test_zero_function_zero_exceedance(self):
-        sched = radius_schedule(zero_fn(2).hardy, 3)
+        sched = radius_schedule(estimate_rates(zero_fn(2)), 3)
         rep = limit_experiment(zero_fn(2), sched, self.CFG, 400, 0.999)
         assert all(row.exceedance == 0.0 for row in rep.rows)
         assert all(r.passed for r in rep.rows) and rep.censor_ok

@@ -246,13 +246,16 @@ class TestHardyTable:
 
 class TestEstimateRates:
     def test_zero_function(self):
+        # I1 = 0 and I2 = 1 exactly on any rule, so the rule cannot move the rates
         u = zero_fn(2)
-        rates = estimate_rates(u, quad=SurfaceQuadrature(2, node_count=64))
-        assert rates.b1 == pytest.approx(0.0, abs=1e-12)
-        assert rates.b2 == pytest.approx(1.0, abs=1e-12)
-        gap = float(np.min(np.diff(DEFAULT_RATE_GRID)))
-        assert rates.delta1(0.3) == pytest.approx(gap)
-        assert rates.delta2(0.3) == pytest.approx(gap)
+        coarse, fine = estimate_rates(u, quad=SurfaceQuadrature(2, node_count=64)), estimate_rates(u)
+        assert (coarse.b1, coarse.b2) == (fine.b1, fine.b2)
+        for rates in (coarse, fine):
+            assert rates.b1 == pytest.approx(0.0, abs=1e-12)
+            assert rates.b2 == pytest.approx(1.0, abs=1e-12)
+            gap = float(np.min(np.diff(DEFAULT_RATE_GRID)))
+            assert rates.delta1(0.3) == pytest.approx(gap)
+            assert rates.delta2(0.3) == pytest.approx(gap)
 
     def test_coordinate_limit(self):
         rates = estimate_rates(catalog(2, with_rates=False)[0])
@@ -289,8 +292,8 @@ class TestCatalog:
         assert {"x1", "x2", "x3", "x1*x2", "x1*x2*x3", "poisson-slice"} <= names3
 
     def test_members_vanish_at_origin_except_slice(self):
-        for m in (2, 3):
-            for u in catalog(m, with_rates=False):
+        for m in (2, 3, 4, 5):
+            for u in [*catalog(m, with_rates=False), zero_fn(m)]:
                 v0 = float(u(np.zeros((1, m)))[0])
                 if u.name == "poisson-slice":
                     assert v0 == pytest.approx(1.0, abs=1e-14)

@@ -167,7 +167,7 @@ class TestSurfaceIntegral:
 
 class TestMcSurfaceArea:
     def test_m5_within_5_sigma(self):
-        est = mc_surface_area(5, 200_000, seed=21)
+        est = mc_surface_area(5, 200_000, rng_stream(21))
         assert abs(est.mean - surface_area(5, 1.0)) <= 5 * est.std_error
         assert est.std_error > 0
 
