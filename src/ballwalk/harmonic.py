@@ -234,12 +234,18 @@ def _coordinate(i: int) -> Callable:
 
 def _slice_kernel(m: int) -> Callable:
     # x -> k_{0,1}(x, e1); positive and harmonic, boundary integral I1 == 1.
+    # |x|^2 and |x - e1|^2 by m - 1 column adds: numpy reduces slowly over a
+    # length-m last axis, and this order gives the bits that np.linalg.norm
+    # and np.sum(x * x, axis=-1) gave
     def f(x):
         x = np.asarray(x, dtype=float)
-        z0 = np.zeros(m)
-        z0[0] = 1.0
-        d = np.linalg.norm(x - z0, axis=-1)
-        return (1.0 - np.sum(x * x, axis=-1)) / d**m
+        r2 = x[..., 0] * x[..., 0]
+        d2 = (x[..., 0] - 1.0) * (x[..., 0] - 1.0)
+        for i in range(1, m):
+            sq = x[..., i] * x[..., i]
+            r2 += sq
+            d2 += sq
+        return (1.0 - r2) / np.sqrt(d2) ** m
 
     return f
 

@@ -10,12 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
 KS_COEFF_5PCT = 1.36
+SLICE = 2**16  # values per exact_sum block in mc_estimate: bounds the temporaries, not exactness
+_MAX_BLOCK = 2**27  # a block's float64 bin sums are exact below this many values
+_ROUND = 1.5 * 2.0**26  # (v + _ROUND) - _ROUND rounds v in (-1, 1) to a multiple of 2^-26
+_ZERO_EXP = 1073  # bin of frexp exponent 0, which holds zeros, NaN and the infinities
+_BINS = _ZERO_EXP + 1025  # frexp exponents run from -1073 (the least subnormal) to 1024
 
 
 @dataclass(frozen=True)
@@ -30,23 +34,71 @@ class KsReport:
     threshold: float
 
 
+def exact_sum(blocks: Iterable[np.ndarray]) -> float:
+    """The correctly rounded sum of the values in 1-D float64 blocks.
+
+    ``np.frexp`` splits each value into a mantissa in (-1, 1), a multiple of
+    2^-53, and an exponent.  The mantissa's top part, a multiple of 2^-26,
+    and its remainder, under 2^-27, are each summed per exponent by
+    ``np.bincount``; below 2^27 values a block's bin sums hold at most 53
+    significant bits, so float64 sums them exactly, and they are carried
+    across blocks as int64 (exact below 2^37 values in all).  The bins are
+    then added as one Python int, and a single int / int true division
+    rounds it to the nearest float: Shewchuk's exact sum, held in Neal's
+    exponent-indexed superaccumulator (arXiv:1505.05571).
+
+    So the result equals ``math.fsum`` of the same values, whatever their
+    order, with one exception: fsum raises OverflowError as soon as its
+    running partials overflow ([1e308, 1e308, -1e308], or such values
+    beside an infinity), where this returns the rounded exact sum (1e308) or
+    the special value.  A total that rounds past the float range raises
+    OverflowError.  NaN and infinities follow fsum's rules: a NaN gives NaN,
+    +inf and -inf together raise ValueError, and otherwise the infinity is
+    the sum.
+    """
+    top = np.zeros(_BINS, dtype=np.int64)
+    low = np.zeros(_BINS, dtype=np.int64)
+    specials = []
+    for x in blocks:
+        if x.size >= _MAX_BLOCK:
+            raise ValueError(f"exact_sum blocks must hold fewer than 2^27 values, got {x.size}")
+        mant, exp = np.frexp(x)
+        idx = np.add(exp, _ZERO_EXP, dtype=np.intp)
+        hi = (mant + _ROUND) - _ROUND
+        hi_bins = np.bincount(idx, hi, _BINS)
+        if not math.isfinite(hi_bins[_ZERO_EXP]):
+            specials.append(x[~np.isfinite(x)])
+            continue
+        top += (hi_bins * 2.0**26).astype(np.int64)
+        low += (np.bincount(idx, mant - hi, _BINS) * 2.0**53).astype(np.int64)
+    if specials:
+        return math.fsum(np.concatenate(specials))
+    # bin i holds mantissas of exponent i - 1073 in units of 2^-53: (top 2^27 + low) 2^(i - 1126)
+    total = 0
+    for i in np.flatnonzero(top | low).tolist():
+        total += ((int(top[i]) << 27) + int(low[i])) << i
+    return total / (1 << 1126)
+
+
 def mc_estimate(samples) -> McEstimate:
     """Sample mean with standard error.
 
-    The mean uses exactly-rounded summation (math.fsum), so it is bit-exact
-    under any permutation of the input.  The standard error uses the unbiased
+    The mean and the sum of squared deviations are exact sums rounded once
+    (``exact_sum``): the values' integer mantissas are added per exponent
+    with no rounding, so each sum equals ``math.fsum`` of the same values
+    bit for bit wherever fsum returns, and the estimate does not depend on
+    the order of the input.  The samples and their squared deviations are
+    summed in slices of SLICE, so no n-float list or array is held.  The standard error uses the unbiased
     variance estimator, std_error = sqrt(sum((x - mean)^2) / (n - 1)) / sqrt(n).
     """
     xs = np.asarray(samples, dtype=float).ravel()
     if xs.size == 0:
         raise ValueError("mc_estimate of an empty sample")
     n = int(xs.size)
-    mean = math.fsum(memoryview(xs)) / n
+    mean = exact_sum(xs[i : i + SLICE] for i in range(0, n, SLICE)) / n
     if n == 1:
         return McEstimate(mean, 0.0)
-    # squared deviations in slices of 2^16, so no n-float list or array is held
-    blocks = (memoryview(np.square(xs[i : i + 2**16] - mean)) for i in range(0, n, 2**16))
-    var = math.fsum(chain.from_iterable(blocks)) / (n - 1)
+    var = exact_sum(np.square(xs[i : i + SLICE] - mean) for i in range(0, n, SLICE)) / (n - 1)
     return McEstimate(mean, math.sqrt(var / n))
 
 

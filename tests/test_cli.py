@@ -371,7 +371,9 @@ class TestScripts:
         tables = json.loads(proc.stdout.splitlines()[-1])
         assert tables["m2_n2048"]["nodes_per_radius"] == 2 * 2048
         assert tables["m3_n224"]["nodes_per_radius"] == 4 * 224**2
-        assert all(t["tables"] == 1 and t["nodes_per_s"] > 0 for t in tables.values())
+        assert all(tables[k]["tables"] == 1 and tables[k]["nodes_per_s"] > 0 for k in ("m2_n2048", "m3_n224"))
+        mc = tables["mc_estimate_1e6"]
+        assert mc["samples"] == 10**6 and mc["calls"] == 1 and mc["samples_per_s"] > 0
 
 
 class TestTracerHooks:

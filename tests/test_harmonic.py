@@ -309,6 +309,28 @@ class TestCatalog:
                 x = uniform_sphere_sample(rng, m) * rng.uniform(0.0, 0.6)
                 assert abs(laplacian_fd(u, x, 1e-4)) <= 1e-4
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_slice_equals_norm_form_bit_for_bit(self, m):
+        # the reference is the kernel as np.linalg.norm and np.sum(x * x, axis=-1) computed it
+        def norm_slice(x):
+            e1 = np.zeros(m)
+            e1[0] = 1.0
+            return (1.0 - np.sum(x * x, axis=-1)) / np.linalg.norm(x - e1, axis=-1) ** m
+
+        u = next(f for f in catalog(m, with_rates=False) if f.name == "poisson-slice")
+        rng = rng_stream(20260809, 105)
+        # rule nodes (the chart rule at m = 2, 3; uniform points beyond)
+        sphere = quad_nodes(SurfaceQuadrature(m, node_count=64))[0] if m <= 3 else uniform_sphere_sample(rng, m, size=4096)
+        near = 1.0 - np.logspace(-9, -1, 200)  # |x| up to 1 - 1e-9, toward e1
+        tilt = rng.normal(scale=1e-3, size=(200, m))
+        tilt[:, 0] = 0.0
+        e1_ward = np.column_stack([near, np.zeros((200, m - 1))]) + tilt * (1.0 - near)[:, None]
+        # an Euler observer's (k, n, m) block: positions after each of k steps of n paths
+        start = uniform_sphere_sample(rng, m, size=300) * 0.9
+        block = start + np.cumsum(rng.normal(scale=1e-2, size=(16, 300, m)), axis=0)
+        for x in [*(r * sphere for r in (0.1, 0.5, 0.95, 0.999)), e1_ward, block]:
+            assert np.array_equal(u(x).view(np.int64), norm_slice(x).view(np.int64))
+
     def test_slice_boundary_integral_is_one(self):
         quad = SurfaceQuadrature(2, node_count=1024)
         u = [f for f in catalog(2, with_rates=False) if f.name == "poisson-slice"][0]

@@ -1,12 +1,83 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballwalk.stats import binomial_se, ks_one_sample, ks_two_sample, mc_estimate
+from ballwalk.stats import SLICE, McEstimate, binomial_se, exact_sum, ks_one_sample, ks_two_sample, mc_estimate
 from ballwalk.streams import rng_stream
+
+DBL_MAX = float(np.finfo(float).max)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)  # subnormals and both zeros included
+
+
+def fsum_estimate(samples) -> McEstimate:
+    """The reference: mc_estimate with every sum taken by math.fsum."""
+    xs = np.asarray(samples, dtype=float).ravel()
+    n = xs.size
+    mean = math.fsum(xs) / n
+    if n == 1:
+        return McEstimate(mean, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = math.fsum(np.square(xs - mean)) / (n - 1)
+    return McEstimate(mean, math.sqrt(var / n))
+
+
+def rounded_sum(xs) -> float:
+    """math.fsum, or, where its partials overflow, the exact rational sum rounded once."""
+    try:
+        return math.fsum(xs)
+    except OverflowError:
+        return float(sum(map(Fraction, xs), Fraction(0)))  # raises OverflowError past the float range
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the exception it raised; floats by repr, so -0.0 and NaN compare too."""
+    try:
+        value = f(*args)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+    return repr(value) if isinstance(value, float) else tuple(map(repr, (value.mean, value.std_error)))
+
+
+class TestExactSum:
+    @given(st.lists(FINITE, max_size=80), st.sampled_from([1, 3, SLICE]))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_correctly_rounded_sum(self, xs, block):
+        arr = np.array(xs, dtype=float)
+        blocks = [arr[i : i + block] for i in range(0, arr.size, block)]
+        assert outcome(exact_sum, blocks) == outcome(rounded_sum, xs)
+
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40), st.lists(FINITE, max_size=4),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_heavy_cancellation(self, xs, small, rnd):
+        # pairs x, -x cancel, leaving only the small terms and the rounding of nothing else
+        vals = xs + [-x for x in xs] + [v * 1e-300 for v in small]
+        rnd.shuffle(vals)
+        assert outcome(exact_sum, [np.array(vals)]) == outcome(rounded_sum, vals)
+
+    def test_intermediate_overflow_returns_exact_sum(self):
+        # fsum's running partials overflow, though the exact sum is 1e308
+        xs = [1e308, 1e308, -1e308]
+        with pytest.raises(OverflowError):
+            math.fsum(xs)
+        assert exact_sum([np.array(xs)]) == 1e308
+        with np.errstate(over="ignore"):  # the squared deviations overflow to inf
+            assert mc_estimate(xs) == McEstimate(1e308 / 3, math.inf)
+
+    @pytest.mark.parametrize("xs", [[1e308, 1e308], [DBL_MAX, DBL_MAX, -DBL_MAX, DBL_MAX]])
+    def test_overflowing_total_raises(self, xs):
+        with pytest.raises(OverflowError):
+            exact_sum([np.array(xs)])
+        with pytest.raises(OverflowError):
+            mc_estimate(xs)
+
+    def test_rejects_blocks_past_exact_bin_sums(self):
+        with pytest.raises(ValueError, match="2\\^27"):
+            exact_sum([np.broadcast_to(0.0, (2**27,))])  # a view: no memory is held
 
 
 class TestMcEstimate:
@@ -39,7 +110,51 @@ class TestMcEstimate:
         xs = rng_stream(20260809, 103).normal(3.0, 2.0, size=150_000)
         mean = math.fsum(xs) / xs.size
         var = math.fsum((float(x) - mean) ** 2 for x in xs) / (xs.size - 1)
-        assert mc_estimate(xs).std_error == math.sqrt(var / xs.size)
+        est = mc_estimate(xs)
+        assert est.mean == mean
+        assert est.std_error == math.sqrt(var / xs.size)
+
+    @given(st.lists(FINITE, min_size=1, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_fsum_forms_bit_for_bit(self, xs):
+        ref = outcome(fsum_estimate, xs)
+        with np.errstate(over="ignore"):
+            got = outcome(mc_estimate, xs)
+        if ref is not OverflowError:
+            assert got == ref
+            return
+        # fsum's partials overflowed: the mean is the exact sum, rounded, over n,
+        # and a sum of squares past the float range still raises
+        mean = outcome(lambda: rounded_sum(xs) / len(xs))
+        if mean is OverflowError:
+            assert got is OverflowError
+        elif got is not OverflowError:
+            assert got[0] == mean
+
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            [math.nan, 1.0],
+            [1.0, math.inf],
+            [-math.inf, 2.0, 3.0],
+            [math.inf, math.inf],
+            [math.inf, -math.inf],  # fsum: ValueError
+            [math.nan, math.inf, -math.inf],  # ValueError before NaN
+            [math.nan],
+            [-math.inf],
+        ],
+    )
+    def test_non_finite_samples_unchanged(self, xs):
+        with np.errstate(invalid="ignore"):
+            assert outcome(mc_estimate, xs) == outcome(fsum_estimate, xs)
+
+    def test_non_finite_samples_across_slices(self):
+        xs = rng_stream(20260809, 104).normal(size=3 * SLICE)
+        for specials in ({5: math.inf}, {5: math.inf, 2 * SLICE + 9: -math.inf}, {SLICE + 1: math.nan}):
+            ys = xs.copy()
+            ys[list(specials)] = list(specials.values())
+            with np.errstate(invalid="ignore"):
+                assert outcome(mc_estimate, ys) == outcome(fsum_estimate, ys)
 
 
 class TestBinomialSe:
