@@ -6,7 +6,8 @@ underlying numbers and a JSON verdict, and exits 0 on pass / 1 on failure.
 the number of failed suites.  Outputs are byte-stable: same config and seed
 give identical files, CSV and verdict JSON alike, at any worker count (the
 JSON echoes the config without ``workers`` and ``out_dir``).  A bad config,
-or a value a suite rejects, exits EXIT_CONFIG_ERROR = 64.
+a value a suite rejects, an unreadable verdict file or a missing output
+directory exits EXIT_CONFIG_ERROR = 64 with a one-line message.
 """
 
 from __future__ import annotations
@@ -77,22 +78,17 @@ class RunConfig:
     workers: int = 1
 
     def validate(self):
-        if self.m < 1:
-            raise ConfigError("m must be >= 1")
-        if not self.dt > 0:
-            raise ConfigError("dt must be positive")
-        if not self.dt <= self.horizon < math.inf:
-            raise ConfigError(f"horizon must be finite and >= dt, got {self.horizon}")
+        PathConfig(m=self.m, dt=self.dt, horizon=self.horizon, seed=self.seed)  # checks m, dt and horizon
         if self.n_paths < 1:
-            raise ConfigError("n_paths must be >= 1")
+            raise ValueError("n_paths must be >= 1")
         if self.q_max < 1:
-            raise ConfigError("q_max must be >= 1")
+            raise ValueError("q_max must be >= 1")
         if not 0.0 < self.r_trunc < 1.0:
-            raise ConfigError("r_trunc must lie in (0, 1)")
+            raise ValueError("r_trunc must lie in (0, 1)")
         if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}")
+            raise ValueError(f"unknown variant {self.variant!r}")
         if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+            raise ValueError("workers must be >= 1")
 
     def path(self, stream: str, index: int = 0, m: int | None = None, horizon: float | None = None) -> PathConfig:
         """The paths of stream ``STREAMS[stream][index]`` at this run's seed and dt,
@@ -100,10 +96,6 @@ class RunConfig:
         m = self.m if m is None else m
         horizon = self.horizon if horizon is None else horizon
         return PathConfig(m=m, dt=self.dt, horizon=horizon, seed=self.seed, stream_id=STREAMS[stream][index])
-
-
-class ConfigError(ValueError):
-    pass
 
 
 # Each RunConfig field's type is the type of its default: it parses config-file
@@ -128,10 +120,10 @@ def parse_config_file(path: str) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{ln}: expected key=value, got {raw!r}")
+            raise ValueError(f"{path}:{ln}: expected key=value, got {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
         if key not in _TYPES:
-            raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
+            raise ValueError(f"{path}:{ln}: unknown key {key!r}")
         values[key] = _TYPES[key](val)
     return values
 
@@ -421,14 +413,22 @@ def suite_hardy_limit(cfg: RunConfig, out: Path) -> bool:
 
 
 def run_report(out: Path) -> int:
-    """Fold every suite verdict in ``out`` into summary.json; exit = #failed."""
+    """Fold every suite verdict in ``out`` into summary.json; exit = #failed.
+    Raises ValueError for a verdict file without a boolean ``pass`` and a
+    ``verdicts`` list, and OSError for a missing ``out``."""
     suites = []
     failed = 0
     for name in SUITES:
         p = out / f"{name}.json"
         if not p.exists():
             continue
-        data = json.loads(p.read_text())
+        try:
+            data = json.loads(p.read_text())
+        except ValueError as exc:
+            raise ValueError(f"{p}: {exc}") from None
+        if not (isinstance(data, dict) and isinstance(data.get("pass"), bool)
+                and isinstance(data.get("verdicts"), list)):
+            raise ValueError(f"{p}: a verdict file holds a boolean 'pass' and a 'verdicts' list")
         suites.append({"suite": name, "pass": data["pass"], "n_verdicts": len(data["verdicts"])})
         if not data["pass"]:
             failed += 1
@@ -476,15 +476,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-    except (ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    out = Path(cfg.out_dir)
-    if args.command == "report":
-        return run_report(out)
-    try:
+        out = Path(cfg.out_dir)
+        if args.command == "report":
+            return run_report(out)
         ok = _RUNNERS[args.command](cfg, out)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     print(f"{args.command}: {'PASS' if ok else 'FAIL'} (outputs in {out})")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brownian import PathConfig, euler_chunk, exit_points, run_chunks, tightness_N
-from .harmonic import HarmonicFn, RateData
+from .harmonic import HarmonicFn, RateData, radius_ladder
 from .sphere import eval_on_points
 from .stats import binomial_se
 
@@ -45,10 +45,7 @@ class RadiusSchedule:
     radii: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.radii, dtype=float)
-        if r.ndim != 1 or r.size < 1 or np.any(np.diff(r) <= 0) or r[0] <= 0 or r[-1] >= 1:
-            raise ValueError("radii must be strictly increasing in (0, 1), one per q")
-        object.__setattr__(self, "radii", r)
+        object.__setattr__(self, "radii", radius_ladder(self.radii))
 
 
 def schedule_epsilons(q: int, b1: float, variant: str) -> float:

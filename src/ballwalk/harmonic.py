@@ -128,6 +128,15 @@ def laplacian_fd(u, x, h: float = tol.FD_STEP) -> float:
     return float(np.sum(vals[:m] + vals[m : 2 * m] - 2.0 * vals[2 * m]) / (h * h))
 
 
+def radius_ladder(radii, name: str = "radii") -> np.ndarray:
+    """``radii`` as a float array; ValueError unless it is one-dimensional,
+    nonempty and strictly increasing inside (0, 1)."""
+    r = np.asarray(radii, dtype=float)
+    if r.ndim != 1 or r.size < 1 or not (r[0] > 0.0 and r[-1] < 1.0 and np.all(np.diff(r) > 0.0)):
+        raise ValueError(f"{name} must be strictly increasing inside (0, 1)")
+    return r
+
+
 def hardy_integrals(u, r: float, quad: SurfaceQuadrature) -> tuple[float, float, float]:
     """(I1, I2, I3) at radius r: ``hardy_table`` on the one-radius grid [r]."""
     i1, i2, i3 = hardy_table(u, [r], quad)
@@ -183,12 +192,12 @@ def estimate_rates(
         # |u| hits chart kinks for sign-changing u, so convergence is only
         # algebraic; 2048 nodes keep the extrapolated limits below 1e-7 error.
         quad = SurfaceQuadrature(dim, node_count=2048 if dim == 2 else 192)
-    grid = np.asarray(DEFAULT_RATE_GRID if r_grid is None else r_grid, dtype=float)
-    if grid.size < 2 or np.any(np.diff(grid) <= 0) or grid[0] <= 0 or grid[-1] >= 1:
-        raise ValueError("r_grid must be increasing inside (0, 1) with >= 2 points")
+    grid = radius_ladder(DEFAULT_RATE_GRID if r_grid is None else r_grid, "r_grid")
+    if grid.size < 2:
+        raise ValueError("r_grid needs >= 2 points")
     i1, i2, i3 = hardy_table(u, grid, quad)
     for name, vals in (("I1", i1), ("I3", i3)):
-        worst = float(np.min(np.diff(vals))) if vals.size > 1 else 0.0
+        worst = float(np.min(np.diff(vals)))
         if worst < -tol.QUAD_MONOTONE_TOL:
             raise InvariantViolation(
                 f"{name} decreases by {-worst:.3e} on the grid; "

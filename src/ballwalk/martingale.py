@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brownian import wos_from_many
-from .harmonic import HarmonicFn, hardy_table
+from .harmonic import HarmonicFn, hardy_table, radius_ladder
 from .sphere import SurfaceQuadrature, eval_on_points
 from .stats import binomial_se, mc_estimate
 
@@ -122,9 +122,7 @@ def sample_Y_skeleton(
     the exit point of D(0, r_1), from there the exit point of D(0, r_2), and
     so on.  The joint law is exact; no time grid is involved.
     """
-    radii = np.asarray(radii, dtype=float)
-    if radii.size < 1 or np.any(np.diff(radii) <= 0) or radii[-1] >= 1.0 or radii[0] <= 0.0:
-        raise ValueError("radii must be strictly increasing inside (0, 1)")
+    radii = radius_ladder(radii)
     xs = np.zeros((n_paths, u.dim))
     values = np.empty((n_paths, radii.size))
     for j, r in enumerate(radii):
@@ -149,9 +147,7 @@ def monotonicity_report(u: HarmonicFn, r_grid, quad: SurfaceQuadrature) -> Monot
     direction: any member with u(0) = 0 starts I2 at 1 and stays <= 1, so
     I2 can only come down.
     """
-    grid = np.asarray(r_grid, dtype=float)
-    if np.any(np.diff(grid) <= 0) or grid[0] <= 0.0 or grid[-1] >= 1.0:
-        raise ValueError("r_grid must be increasing inside (0, 1)")
+    grid = radius_ladder(r_grid, "r_grid")
     i1, i2, i3 = hardy_table(u, grid, quad)
     down = 0.0
     i2_down = 0.0

@@ -13,7 +13,6 @@ from ballwalk.cli import (
     EXIT_CONFIG_ERROR,
     STREAMS,
     SUITES,
-    ConfigError,
     RunConfig,
     at_least,
     at_most,
@@ -41,13 +40,13 @@ class TestConfigFile:
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("paths=10\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             parse_config_file(str(p))
 
     def test_bad_line_rejected(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("just some words\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             parse_config_file(str(p))
 
     def test_unknown_key_exits_64(self, tmp_path):
@@ -87,11 +86,11 @@ class TestConfigFile:
         assert "config error: two-sample KS needs n >= 50" in capsys.readouterr().err
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             RunConfig(q_max=0).validate()
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             RunConfig(r_trunc=1.5).validate()
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             RunConfig(variant="x").validate()
 
 
@@ -161,6 +160,21 @@ class TestReport:
         names = [s["suite"] for s in summary["suites"]]
         assert sorted(names) == ["constants", "scaling"]
         assert len(names) == len(set(names))
+
+    @pytest.mark.parametrize("text", ['{"suite": "scaling", "pass": tr', '{"suite": "scaling", "verdicts": []}'])
+    def test_unreadable_verdict_file_exits_64(self, tmp_path, capsys, text):
+        # a truncated verdict file and one without "pass" are bad inputs, not a failed suite
+        (tmp_path / "scaling.json").write_text(text)
+        assert run_cli("report", "--out", str(tmp_path)) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "scaling.json" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_missing_out_directory_exits_64(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        assert run_cli("report", "--out", str(missing)) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith(f"config error: [Errno 2] No such file or directory: '{missing}")
+        assert not missing.exists()
 
 
 class TestDeterminism:
@@ -344,36 +358,48 @@ class TestScripts:
         assert "m=2:" in proc.stdout and "m=3:" in proc.stdout
         assert "engines z1 KS" in proc.stdout
 
-    def test_bench_exit_sampler_writes_every_cell(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def bench_layers_run(self, tmp_path_factory):
+        # one end-to-end run of the harness at smoke sizes, read by the two tests below; they keep the
+        # names of the two scripts it replaced.  Each side's cells and tables come from children of the
+        # harness run against that side's src
         root = Path(__file__).resolve().parents[1]
-        out = tmp_path / "bench.json"
+        script = str(root / "scripts" / "bench_layers.py")
+        out = tmp_path_factory.mktemp("bench_layers") / "bench.json"
+        missing_out = subprocess.run([sys.executable, script, "--side", f"smoke={root}"], capture_output=True,
+                                     text=True, timeout=60)
+        wrote_without_out = out.exists()
         proc = subprocess.run(
-            [sys.executable, str(root / "scripts" / "bench_exit_sampler.py"), "--side", f"smoke={root}",
-             "--points", "200", "--cap", "60", "--out", str(out)],
+            [sys.executable, script, "--side", f"smoke={root}", "--points", "200", "--tables", "1", "--out", str(out)],
             capture_output=True, text=True, timeout=600,
         )
+        return missing_out, wrote_without_out, proc, out
+
+    def test_bench_exit_sampler_writes_every_cell(self, bench_layers_run):
+        missing_out, wrote_without_out, proc, out = bench_layers_run
+        assert missing_out.returncode == 2 and "--out" in missing_out.stderr and not wrote_without_out
         assert proc.returncode == 0, proc.stderr
         cells = json.loads(out.read_text())["sampler"]["smoke"]
         assert len(cells) == 16
         assert cells["m=2 s=0.999"]["proposals_per_point"] == 1.0
         assert all(c["exits_per_s"] > 0 for c in cells.values())
 
-    def test_bench_blas_free_tables_child_runs(self):
-        # the tables child builds its rules against whichever checkout's src is on the path
-        root = Path(__file__).resolve().parents[1]
-        src = str(root / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, str(root / "scripts" / "bench_blas_free.py"), "--child", "tables", "--tables", "1"],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
+    def test_bench_blas_free_tables_child_runs(self, bench_layers_run):
+        # ROADMAP item 9's gate reads the keys the tables child writes
+        _, _, proc, out = bench_layers_run
         assert proc.returncode == 0, proc.stderr
-        tables = json.loads(proc.stdout.splitlines()[-1])
-        assert tables["m2_n2048"]["nodes_per_radius"] == 2 * 2048
-        assert tables["m3_n224"]["nodes_per_radius"] == 4 * 224**2
-        assert all(tables[k]["tables"] == 1 and tables[k]["nodes_per_s"] > 0 for k in ("m2_n2048", "m3_n224"))
-        mc = tables["mc_estimate_1e6"]
-        assert mc["samples"] == 10**6 and mc["calls"] == 1 and mc["samples_per_s"] > 0
+        record = json.loads(out.read_text())
+        assert len(record["tables"]["smoke"]) == 2
+        for tables in record["tables"]["smoke"]:
+            assert set(tables) == {"m2_n2048", "m3_n224", "mc_estimate_1e6"}
+            assert tables["m2_n2048"]["nodes_per_radius"] == 2 * 2048
+            assert tables["m3_n224"]["nodes_per_radius"] == 4 * 224**2
+            for k in ("m2_n2048", "m3_n224"):
+                assert set(tables[k]) == {"nodes_per_radius", "tables", "nodes_per_s"}
+                assert tables[k]["tables"] == 1 and tables[k]["nodes_per_s"] > 0
+            mc = tables["mc_estimate_1e6"]
+            assert set(mc) == {"samples", "calls", "samples_per_s"}
+            assert mc["samples"] == 10**6 and mc["calls"] == 1 and mc["samples_per_s"] > 0
 
 
 class TestTracerHooks:

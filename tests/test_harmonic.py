@@ -16,9 +16,12 @@ from ballwalk.harmonic import (
     mean_value_residual,
     poisson_extend,
     poisson_kernel,
+    radius_ladder,
     zero_fn,
 )
 from ballwalk import harmonic
+from ballwalk.hardy_limit import RadiusSchedule
+from ballwalk.martingale import monotonicity_report, sample_Y_skeleton
 from ballwalk.sphere import SurfaceQuadrature, quad_nodes, surface_area, surface_integral, uniform_sphere_sample
 from ballwalk.streams import rng_stream
 
@@ -242,6 +245,35 @@ class TestHardyTable:
             hardy_table(zero_fn(2), [0.3, 0.6], quad)
         with pytest.raises(ValueError):
             hardy_integrals(zero_fn(2), 0.3, quad)
+
+
+class TestRadiusLadder:
+    NOT_LADDERS = {"empty": [], "2-d": [[0.2, 0.4], [0.6, 0.8]], "tie": [0.5, 0.5], "falling": [0.9, 0.5],
+                   "zero": [0.0, 0.5], "one": [0.5, 1.0], "nan": [float("nan")], "inner-nan": [0.2, float("nan"), 0.8]}
+
+    def test_accepts_an_increasing_ladder_inside_the_ball(self):
+        r = radius_ladder([0.25, 0.5, 0.999])
+        assert r.dtype == float and r.tolist() == [0.25, 0.5, 0.999]
+
+    @pytest.mark.parametrize("radii", NOT_LADDERS.values(), ids=NOT_LADDERS.keys())
+    def test_every_ladder_taker_rejects_what_is_no_ladder(self, radii):
+        # one check for every taker: checks written per taker let an empty grid make monotonicity_report
+        # raise IndexError, a 2-d grid raise numpy's ambiguous-truth error, and RadiusSchedule take NaN radii
+        u = catalog(2, with_rates=False)[0]
+        takers = [
+            lambda: radius_ladder(radii),
+            lambda: RadiusSchedule(radii),
+            lambda: sample_Y_skeleton(rng_stream(1), u, radii, 10),
+            lambda: monotonicity_report(u, radii, GAUSS2),
+            lambda: estimate_rates(u, radii, GAUSS2),
+        ]
+        for take in takers:
+            with pytest.raises(ValueError, match="strictly increasing inside"):
+                take()
+
+    def test_estimate_rates_needs_two_points(self):
+        with pytest.raises(ValueError, match=">= 2 points"):
+            estimate_rates(catalog(2, with_rates=False)[0], [0.5], GAUSS2)
 
 
 class TestEstimateRates:
