@@ -93,6 +93,8 @@ class PathConfig:
             raise ValueError("dt must be positive")
         if not self.dt <= self.horizon < math.inf:
             raise ValueError(f"horizon must be finite and >= dt, got {self.horizon}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def n_steps(self) -> int:

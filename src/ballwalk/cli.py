@@ -78,7 +78,7 @@ class RunConfig:
     workers: int = 1
 
     def validate(self):
-        PathConfig(m=self.m, dt=self.dt, horizon=self.horizon, seed=self.seed)  # checks m, dt and horizon
+        PathConfig(m=self.m, dt=self.dt, horizon=self.horizon, seed=self.seed)  # checks m, dt, horizon and seed
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
         if self.q_max < 1:

@@ -1,10 +1,11 @@
 """Acceptance suite: one test per numbered criterion, each printing a
 PASS/FAIL line (run with ``pytest -s`` to see them inline).
 
-Criteria 5-13 are exercised through the command-line runner at their stated
-parameters on the pinned seed; criterion 14 reruns the same commands (same
-and different worker counts) and compares output bytes.  Criteria 2-4, 10,
-and 12 drive the library directly.
+Criteria 1, 5-9, 11 and 13 read the outputs of scripts/run_all.py, which
+runs every suite at its acceptance arguments (SUITE_ARGS there) on the
+pinned seed.  Three runs start together; criterion 14 compares every file of
+the first with a repeat run and with a run at two workers, byte for byte.
+Criteria 2-4, 10, and 12 drive the library directly.
 
 Criterion 12 asserts the monotonicity claim literally, including the
 direction of I2.  That clause fails for every catalog member vanishing at
@@ -23,65 +24,35 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ballwalk.cli import main as cli_main
 from ballwalk.harmonic import catalog, laplacian_fd, mean_value_residual, poisson_extend, poisson_kernel
 from ballwalk.martingale import lambda_bar, lambda_bar_closed, lambda_bar_series, monotonicity_report
 from ballwalk.sphere import SurfaceQuadrature, surface_area, surface_integral, uniform_sphere_sample
 from ballwalk.streams import rng_stream
+from conftest import src_env
 
 SEED = 20260809
 
-SUITE_ARGS = {
-    "constants": [],
-    "reflection": ["--paths", "10000", "--dt", "1e-05"],
-    "tightness": ["--paths", "10000", "--dt", "0.001", "--m", "2"],
-    "exit-dist": ["--paths", "20000", "--dt", "0.0001"],
-    "scaling": ["--paths", "10000", "--dt", "0.0001", "--m", "2"],
-    "continuity": ["--paths", "10000", "--dt", "0.0001", "--m", "2"],
-    "martingale": ["--paths", "20000"],
-    "hardy-limit": ["--paths", "10000", "--dt", "0.0001", "--q-max", "3"],
-}
-
-# the suites backing criteria 5-13; criterion 14 reruns exactly these
-DETERMINISM_SUITES = ["reflection", "tightness", "exit-dist", "scaling", "martingale", "hardy-limit"]
-
-
-def run_all_suites(out: Path, workers: int):
-    for suite, args in SUITE_ARGS.items():
-        code = cli_main(
-            [suite, "--out", str(out), "--seed", str(SEED), "--workers", str(workers), *args]
-        )
-        assert code in (0, 1), f"{suite} returned unexpected exit code {code}"
-
-
-def _suite_script(out: Path, workers: int) -> str:
-    lines = ["import sys", "from ballwalk.cli import main"]
-    for suite in DETERMINISM_SUITES:
-        args = [suite, "--out", str(out), "--seed", str(SEED), "--workers", str(workers)] + SUITE_ARGS[suite]
-        lines.append(f"assert main({args!r}) in (0, 1)")
-    return "\n".join(lines)
+RUN_ALL = Path(__file__).resolve().parents[1] / "scripts" / "run_all.py"
 
 
 @pytest.fixture(scope="session")
-def run_a(tmp_path_factory):
-    out = tmp_path_factory.mktemp("accept_a")
-    run_all_suites(out, workers=1)
-    return out
-
-
-@pytest.fixture(scope="session")
-def runs_bc(tmp_path_factory):
-    # rerun criteria 5-13 twice, once at a different worker count, in two
-    # parallel subprocesses (outputs are scheduling-independent by contract)
-    b = tmp_path_factory.mktemp("accept_b")
-    c = tmp_path_factory.mktemp("accept_c")
+def runs(tmp_path_factory):
+    """Three runs of scripts/run_all.py started together: a and b at one worker, c at two."""
+    outs = [tmp_path_factory.mktemp(f"accept_{name}") for name in "abc"]
     procs = [
-        subprocess.Popen([sys.executable, "-c", _suite_script(out, workers)])
-        for out, workers in ((b, 1), (c, 2))
+        subprocess.Popen([sys.executable, str(RUN_ALL), "--out", str(out), "--seed", str(SEED), "--workers", workers],
+                         env=src_env())
+        for out, workers in zip(outs, "112")
     ]
-    for p in procs:
-        assert p.wait() == 0
-    return b, c
+    codes = [p.wait() for p in procs]
+    for out, code in zip(outs, codes):
+        assert (out / "summary.json").exists(), f"{out.name}: run_all.py exited {code} without a summary"
+    return outs
+
+
+@pytest.fixture(scope="session")
+def run_a(runs):
+    return runs[0]
 
 
 def load(out: Path, suite: str) -> dict:
@@ -266,13 +237,17 @@ def test_criterion_13_limit_theorem(run_a):
     announce(13, ok, f"per-q exceedances {qs}; zero-function exactness {zero['pass']}")
 
 
-def test_criterion_14_determinism(run_a, runs_bc):
-    b, c = runs_bc
-    mismatch = []
-    for suite in DETERMINISM_SUITES:
-        ref = (run_a / f"{suite}.csv").read_bytes()
-        if ref != (b / f"{suite}.csv").read_bytes():
-            mismatch.append(f"{suite} (repeat run)")
-        if ref != (c / f"{suite}.csv").read_bytes():
-            mismatch.append(f"{suite} (workers=2)")
-    announce(14, not mismatch, f"byte-identical CSVs across reruns and worker counts; mismatches: {mismatch or 'none'}")
+def test_criterion_14_determinism(runs):
+    a, b, c = runs
+    names = sorted(p.name for p in a.iterdir())
+    mismatch = [
+        f"{name} ({label})"
+        for name in names
+        for label, other in (("repeat run", b), ("workers=2", c))
+        if not (other / name).is_file() or (a / name).read_bytes() != (other / name).read_bytes()
+    ]
+    announce(
+        14,
+        not mismatch,
+        f"{len(names)} byte-identical outputs across reruns and worker counts; mismatches: {mismatch or 'none'}",
+    )

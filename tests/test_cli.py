@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +23,7 @@ from ballwalk.cli import (
 from ballwalk.martingale import MonotonicityReport
 from ballwalk.stats import KsReport
 from ballwalk.streams import rng_stream
+from conftest import src_env
 
 
 def run_cli(*args) -> int:
@@ -78,6 +78,11 @@ class TestConfigFile:
     def test_non_finite_horizon_exits_64(self, tmp_path, capsys, suite, horizon):
         assert run_cli(suite, "--out", str(tmp_path), "--horizon", horizon) == EXIT_CONFIG_ERROR
         assert f"config error: horizon must be finite and >= dt, got {horizon}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_negative_seed_exits_64_before_any_work(self, tmp_path, capsys):
+        assert run_cli("constants", "--out", str(tmp_path), "--seed", "-1") == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == "config error: seed must be >= 0\n"
         assert not list(tmp_path.iterdir())
 
     def test_suite_value_error_exits_64(self, tmp_path, capsys):
@@ -204,9 +209,7 @@ class TestDeterminism:
         # the quadrature suites' sums and rules run no threaded BLAS or LAPACK code,
         # so a one-thread OpenBLAS gives the bytes of this process's default pool
         one, default = tmp_path / "one", tmp_path / "default"
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env = src_env(OPENBLAS_NUM_THREADS="1")
         for suite in ("constants", "martingale"):
             proc = subprocess.run([sys.executable, "-m", "ballwalk", suite, "--out", str(one), *SMALL_ARGS[suite]],
                                   env=env, capture_output=True, text=True, timeout=300)
@@ -264,33 +267,37 @@ SMALL_ARGS = {
 }
 
 
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """One run of every suite at SMALL_ARGS and seed 20260809: its output directory, and every stream key
+    the suites drew -> the suites that drew it."""
+    users: dict = {}
+    current = []
+
+    def recording(seed, *key):
+        users.setdefault((seed, *key), set()).add(current[-1])
+        return rng_stream(seed, *key)
+
+    out = tmp_path_factory.mktemp("small_run")
+    with pytest.MonkeyPatch.context() as mp:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("ballwalk") and getattr(module, "rng_stream", None) is rng_stream:
+                mp.setattr(module, "rng_stream", recording)
+        for suite in SUITES:
+            current.append(suite)
+            assert run_cli(suite, "--out", str(out), "--seed", "20260809", *SMALL_ARGS[suite]) in (0, 1)
+    return out, users
+
+
 class TestStreams:
-    @pytest.fixture(scope="class")
-    def users(self, tmp_path_factory):
-        """Every stream key the suites draw at SMALL_ARGS -> the suites that drew it."""
-        users: dict = {}
-        current = []
-
-        def recording(seed, *key):
-            users.setdefault((seed, *key), set()).add(current[-1])
-            return rng_stream(seed, *key)
-
-        out = tmp_path_factory.mktemp("streams")
-        with pytest.MonkeyPatch.context() as mp:
-            for name, module in list(sys.modules.items()):
-                if name.startswith("ballwalk") and getattr(module, "rng_stream", None) is rng_stream:
-                    mp.setattr(module, "rng_stream", recording)
-            for suite in SUITES:
-                current.append(suite)
-                assert run_cli(suite, "--out", str(out), *SMALL_ARGS[suite]) in (0, 1)
-        return users
-
-    def test_no_two_suites_share_a_stream(self, users):
+    def test_no_two_suites_share_a_stream(self, small_run):
+        _, users = small_run
         assert set(SMALL_ARGS) == set(SUITES)
         shared = {key: sorted(suites) for key, suites in users.items() if len(suites) > 1}
         assert not shared
 
-    def test_streams_lists_every_keyed_stream(self, users):
+    def test_streams_lists_every_keyed_stream(self, small_run):
+        _, users = small_run
         # every stream is (seed, id, ...) at the suite's seed, with its id in one of the
         # suite's STREAMS ranges
         seed = RunConfig().seed
@@ -312,9 +319,7 @@ class TestImportPath:
     LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
 
     def run(self, code: str) -> list[str]:
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.splitlines()
 
@@ -347,16 +352,23 @@ class TestImportPath:
 class TestScripts:
     def test_exit_time_study_runs(self):
         root = Path(__file__).resolve().parents[1]
-        src = str(root / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         script = str(root / "scripts" / "exit_time_study.py")
         proc = subprocess.run(
             [sys.executable, script, "--dims", "2", "3", "--paths", "200", "--dt", "1e-2"],
-            env=env, capture_output=True, text=True, timeout=300,
+            env=src_env(), capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
         assert "m=2:" in proc.stdout and "m=3:" in proc.stdout
         assert "engines z1 KS" in proc.stdout
+
+    def test_run_all_stops_at_a_negative_seed(self, tmp_path):
+        # the first suite rejects the seed before it computes anything, and the run stops with its code
+        script = str(Path(__file__).resolve().parents[1] / "scripts" / "run_all.py")
+        proc = subprocess.run([sys.executable, script, "--out", str(tmp_path), "--seed", "-1"], env=src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_CONFIG_ERROR
+        assert proc.stderr == "config error: seed must be >= 0\n"
+        assert not (tmp_path / "summary.json").exists()
 
     @pytest.fixture(scope="class")
     def bench_layers_run(self, tmp_path_factory):
@@ -407,13 +419,11 @@ class TestTracerHooks:
         # perfbench/spans.py reads n_paths from the arguments of reflection_crossing_mc and
         # exit_continuity_check; a call that moves it breaks the hook or miscounts the paths
         root = Path(__file__).resolve().parents[1]
-        src = str(root / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         trace = tmp_path / "trace.json"
         proc = subprocess.run(
             [sys.executable, str(root / "perfbench" / "child.py"), "--workload", "euler-exit", "--seed", "1",
              "--out", str(tmp_path), "--trace", str(trace)],
-            env=env, capture_output=True, text=True, timeout=300,
+            env=src_env(), capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
         steps = json.loads((tmp_path / "_child.json").read_text())["steps"]
@@ -429,12 +439,10 @@ class TestTracerHooks:
         # limit_experiment itself and reads LimitReport's fields; a library
         # change that breaks one of those calls fails its step here
         root = Path(__file__).resolve().parents[1]
-        src = str(root / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, str(root / "perfbench" / "child.py"), "--workload", workload, "--seed", "1",
              "--out", str(tmp_path)],
-            env=env, capture_output=True, text=True, timeout=300,
+            env=src_env(), capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
         steps = json.loads((tmp_path / "_child.json").read_text())["steps"]
@@ -470,8 +478,7 @@ class TestGoldenOutputs:
         "tightness.json": "4686ead62ffe95abacc985437711341229b51c820efa84f89c8f4f6ec1cfffeb",
     }
 
-    def test_outputs_match_recorded_digests(self, tmp_path):
-        for suite in SUITES:
-            assert run_cli(suite, "--out", str(tmp_path), "--seed", "20260809", *SMALL_ARGS[suite]) in (0, 1)
-        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    def test_outputs_match_recorded_digests(self, small_run):
+        out, _ = small_run
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
         assert got == self.DIGESTS
