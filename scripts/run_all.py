@@ -2,17 +2,19 @@
 """Run every verification suite at the acceptance arguments and fold the verdicts.
 
 Usage: run_all.py --out DIR [ballwalk flags].  Each suite runs at its
-SUITE_ARGS followed by any further ballwalk flags given here; argparse keeps
-the last value, so ``--workers 2`` or ``--paths 200 --dt 0.01`` apply to
-every suite.  ``report`` runs last and its code, the number of failed suites,
-is the exit code; a suite that exits outside {0, 1} stops the run with its
-own code.  The acceptance gate (tests/test_acceptance.py) runs this script.
+SUITE_ARGS followed by those of the further flags given here that it reads
+(``ballwalk.cli.suite_fields``); argparse keeps the last value, so
+``--workers 2`` or ``--paths 200 --dt 0.01`` apply to every suite that takes
+them, and a flag no suite takes exits 2.  ``report`` runs last and its code,
+the number of failed suites, is the exit code; a suite that exits outside
+{0, 1} stops the run with its own code.  The acceptance gate
+(tests/test_acceptance.py) runs this script.
 """
 
 import argparse
 import sys
 
-from ballwalk.cli import main as cli
+from ballwalk.cli import FLAGS, main as cli, suite_fields
 
 # the acceptance arguments of each suite, in run order; the rest are RunConfig defaults
 SUITE_ARGS = {
@@ -27,8 +29,10 @@ SUITE_ARGS = {
 }
 
 
-def run(out: str, flags: list[str]) -> int:
+def run(out: str, given: dict) -> int:
+    """``given`` maps a RunConfig field to the argument of its flag, None where it was not given."""
     for suite, args in SUITE_ARGS.items():
+        flags = [a for key in suite_fields(suite) if given[key] is not None for a in (FLAGS[key], given[key])]
         code = cli([suite, "--out", out, *args, *flags])
         if code not in (0, 1):
             return code
@@ -38,5 +42,7 @@ def run(out: str, flags: list[str]) -> int:
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out")
-    ns, flags = ap.parse_known_args()
-    sys.exit(run(ns.out, flags))
+    for key, flag in FLAGS.items():
+        ap.add_argument(flag, dest=key, help="passed to the suites that read it")
+    given = vars(ap.parse_args())
+    sys.exit(run(given.pop("out"), given))

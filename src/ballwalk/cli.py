@@ -3,10 +3,12 @@
 Each subcommand checks one family of quantitative claims, writes a CSV of the
 underlying numbers and a JSON verdict, and exits 0 on pass / 1 on failure.
 ``report`` folds all verdicts in a directory into summary.json and exits with
-the number of failed suites.  Outputs are byte-stable: same config and seed
+the number of failed suites.  Each subcommand takes ``--out`` and the flags of
+the RunConfig fields it reads (``suite_fields``), and nothing else: any other
+flag is a usage error, exit 2.  Outputs are byte-stable: same settings and seed
 give identical files, CSV and verdict JSON alike, at any worker count (the
-JSON echoes the config without ``workers`` and ``out_dir``).  A bad config,
-a value a suite rejects, an unreadable verdict file or a missing output
+JSON echoes the fields the suite reads, without ``workers``).  A value out of
+range, a value a suite rejects, an unreadable verdict file or a missing output
 directory exits EXIT_CONFIG_ERROR = 64 with a one-line message.
 """
 
@@ -72,7 +74,6 @@ class RunConfig:
     n_paths: int = 4000
     seed: int = 20260809
     q_max: int = 3
-    r_trunc: float = 0.999
     variant: str = "conservative-min"
     out_dir: str = "out"
     workers: int = 1
@@ -83,8 +84,6 @@ class RunConfig:
             raise ValueError("n_paths must be >= 1")
         if self.q_max < 1:
             raise ValueError("q_max must be >= 1")
-        if not 0.0 < self.r_trunc < 1.0:
-            raise ValueError("r_trunc must lie in (0, 1)")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.workers < 1:
@@ -98,34 +97,10 @@ class RunConfig:
         return PathConfig(m=m, dt=self.dt, horizon=horizon, seed=self.seed, stream_id=STREAMS[stream][index])
 
 
-# Each RunConfig field's type is the type of its default: it parses config-file
-# values and flag arguments alike.
-_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
-
-# command-line flag -> the RunConfig field it sets
-_FLAGS = {"--seed": "seed", "--out": "out_dir", "--paths": "n_paths", "--dt": "dt", "--variant": "variant",
-          "--q-max": "q_max", "--workers": "workers", "--m": "m", "--horizon": "horizon"}
-_HELP = {"out_dir": "output directory", "n_paths": "number of Monte Carlo paths"}
-
-
-def parse_config_file(path: str) -> dict:
-    """Line-based ``key=value`` file; '#' starts a comment; unknown keys error.
-
-    Keys are RunConfig field names; a value that does not parse as the
-    field's type raises ValueError.
-    """
-    values: dict = {}
-    for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{ln}: expected key=value, got {raw!r}")
-        key, val = (s.strip() for s in line.split("=", 1))
-        if key not in _TYPES:
-            raise ValueError(f"{path}:{ln}: unknown key {key!r}")
-        values[key] = _TYPES[key](val)
-    return values
+# RunConfig field -> its command-line flag; every subcommand also takes --out (out_dir)
+FLAGS = {"seed": "--seed", "dt": "--dt", "horizon": "--horizon", "m": "--m", "n_paths": "--paths",
+         "q_max": "--q-max", "variant": "--variant", "workers": "--workers"}
+_HELP = {"n_paths": "number of Monte Carlo paths"}
 
 
 def _fmt(x) -> str:
@@ -188,10 +163,11 @@ def ks_below(claim: str, ks: KsReport) -> dict:
 
 def write_suite(out_dir: Path, suite: str, cfg: RunConfig, columns, rows, verdicts) -> bool:
     out_dir.mkdir(parents=True, exist_ok=True)
-    meta = {"suite": suite, "seed": cfg.seed, "dt": _fmt(cfg.dt), "n_paths": cfg.n_paths}
+    read = suite_fields(suite)
+    meta = {"suite": suite, **{k: _fmt(getattr(cfg, k)) for k in ("seed", "dt", "n_paths") if k in read}}
     write_csv(out_dir / f"{suite}.csv", columns, rows, meta)
     ok = all(v["pass"] for v in verdicts)
-    echo = {f.name: getattr(cfg, f.name) for f in fields(RunConfig) if f.name not in ("out_dir", "workers")}
+    echo = {k: getattr(cfg, k) for k in read if k != "workers"}
     payload = {
         "suite": suite,
         "seed": cfg.seed,
@@ -392,7 +368,7 @@ def suite_hardy_limit(cfg: RunConfig, out: Path) -> bool:
     for i, (name, fn) in enumerate(members.items()):
         sched = radius_schedule(rates[name], cfg.q_max, cfg.variant)
         pc = cfg.path("hardy-limit", i, m=2)
-        rep = limit_experiment(fn, sched, pc, cfg.n_paths, cfg.r_trunc, workers=cfg.workers)
+        rep = limit_experiment(fn, sched, pc, cfg.n_paths, workers=cfg.workers)
         for row in rep.rows:
             rows.append([name, row.q, row.radius, row.bound, row.exceedance, row.std_error, row.passed])
             claim = f"{name}: P(sup over [tau(r_{row.q}), tau(r_trunc)) of |V - u(B_s)| > 2^(3-{row.q})) <= 2^(4-{row.q})"
@@ -437,37 +413,42 @@ def run_report(out: Path) -> int:
     return failed
 
 
+# Each suite's runner and the RunConfig fields it reads besides out_dir: the
+# suite's flags, and the settings its outputs echo.
 _RUNNERS = {
-    "constants": suite_constants,
-    "exit-dist": suite_exit_dist,
-    "reflection": suite_reflection,
-    "tightness": suite_tightness,
-    "scaling": suite_scaling,
-    "continuity": suite_continuity,
-    "martingale": suite_martingale,
-    "hardy-limit": suite_hardy_limit,
+    "constants": (suite_constants, ("seed",)),
+    "exit-dist": (suite_exit_dist, ("seed", "dt", "horizon", "n_paths", "workers")),
+    "reflection": (suite_reflection, ("seed", "dt", "n_paths", "workers")),
+    "tightness": (suite_tightness, ("seed", "dt", "m", "n_paths", "workers")),
+    "scaling": (suite_scaling, ("seed", "dt", "horizon", "m", "n_paths", "workers")),
+    "continuity": (suite_continuity, ("seed", "dt", "horizon", "m", "n_paths", "workers")),
+    "martingale": (suite_martingale, ("seed", "n_paths")),
+    "hardy-limit": (suite_hardy_limit, ("seed", "dt", "horizon", "n_paths", "q_max", "variant", "workers")),
 }
 SUITES = tuple(_RUNNERS)
+
+
+def suite_fields(command: str) -> tuple[str, ...]:
+    """The RunConfig fields ``command`` reads besides out_dir; ``report`` reads none."""
+    return _RUNNERS[command][1] if command in _RUNNERS else ()
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ballwalk", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+    # a field's type is the type of its default, and parses the flag's argument
+    types = {f.name: type(f.default) for f in fields(RunConfig)}
     for name in (*SUITES, "report"):
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="key=value config file")
-        for flag, key in _FLAGS.items():
+        p.add_argument("--out", dest="out_dir", default=None, help="output directory")
+        for key in suite_fields(name):
             choices = VARIANTS if key == "variant" else None
-            p.add_argument(flag, dest=key, type=_TYPES[key], default=None, choices=choices, help=_HELP.get(key))
+            p.add_argument(FLAGS[key], dest=key, type=types[key], default=None, choices=choices, help=_HELP.get(key))
     return ap
 
 
 def load_config(args) -> RunConfig:
-    values = parse_config_file(args.config) if args.config else {}
-    for key in _FLAGS.values():
-        if getattr(args, key) is not None:
-            values[key] = getattr(args, key)
-    cfg = RunConfig(**values)
+    cfg = RunConfig(**{k: v for k, v in vars(args).items() if k != "command" and v is not None})
     cfg.validate()
     return cfg
 
@@ -479,7 +460,7 @@ def main(argv=None) -> int:
         out = Path(cfg.out_dir)
         if args.command == "report":
             return run_report(out)
-        ok = _RUNNERS[args.command](cfg, out)
+        ok = _RUNNERS[args.command][0](cfg, out)
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

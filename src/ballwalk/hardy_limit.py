@@ -33,11 +33,6 @@ def delta3(rates: RateData, eps: float) -> float:
     return min(rates.delta1(eps / 2.0), rates.delta2(eps / 2.0))
 
 
-def gamma_limit(rates: RateData) -> float:
-    """Limit of I3 as r -> 1: b2 - 1 + b1."""
-    return rates.b2 - 1.0 + rates.b1
-
-
 @dataclass(frozen=True)
 class RadiusSchedule:
     """The radii r_1 < ... < r_q_max, one per q."""
@@ -122,10 +117,20 @@ def limit_experiment(
     point.  For every scheduled radius the first grid crossing opens the
     observation window, and the running min/max of u along the remaining path
     gives the sup exactly.  Censored paths (horizon hit) are excluded and
-    counted against the tightness allowance for the configured horizon.
+    counted against the tightness allowance 2^(1-k), k the largest with
+    N_{2,k} < horizon.  That search stops by k = 25: tightness_N(2.0, 26)
+    exceeds 2^53, so a horizon past N_{2,25} raises ValueError before any
+    path runs.
     """
     if not sched.radii[-1] < r_trunc < 1.0:
         raise ValueError("need max schedule radius < r_trunc < 1")
+    k = 0
+    try:
+        while tightness_N(2.0, k + 1) < cfg.horizon:
+            k += 1
+    except ValueError:
+        raise ValueError(f"horizon {cfg.horizon:g} lies past every tightness bound N_(2,k) below 2^53") from None
+    allowance = 2.0 ** (-k + 1)
     radii = sched.radii
     q_max = radii.size
 
@@ -179,11 +184,6 @@ def limit_experiment(
         se = binomial_se(p, max(n_ok, 1))
         rows.append(LimitRow(j + 1, float(radii[j]), bound, p, se, p <= bound + 3.0 * se))
 
-    # Tightness allowance: the sharpest bound 2^(1-k) whose N_{2,k} the horizon clears.
-    k = 0
-    while tightness_N(2.0, k + 1) < cfg.horizon:
-        k += 1
-    allowance = 2.0 ** (-k + 1)
     cen_frac = n_cen / n_paths
     cen_se = binomial_se(cen_frac, n_paths)
     cen_ok = cen_frac <= allowance + 3.0 * cen_se

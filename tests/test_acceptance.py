@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ballwalk.harmonic import catalog, laplacian_fd, mean_value_residual, poisson_extend, poisson_kernel
+from ballwalk.harmonic import catalog, mean_value_residual, poisson_extend, poisson_kernel
 from ballwalk.martingale import lambda_bar, lambda_bar_closed, lambda_bar_series, monotonicity_report
 from ballwalk.sphere import SurfaceQuadrature, surface_area, surface_integral, uniform_sphere_sample
 from ballwalk.streams import rng_stream

@@ -3,11 +3,12 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from ballwalk import cli
+from ballwalk import cli, hardy_limit
 from ballwalk.cli import (
     EXIT_CONFIG_ERROR,
     STREAMS,
@@ -17,7 +18,6 @@ from ballwalk.cli import (
     at_most,
     ks_below,
     main,
-    parse_config_file,
     within,
 )
 from ballwalk.martingale import MonotonicityReport
@@ -31,47 +31,9 @@ def run_cli(*args) -> int:
 
 
 class TestConfigFile:
-    def test_parse_with_comments(self, tmp_path):
-        p = tmp_path / "run.cfg"
-        p.write_text("# a comment\nm=3\ndt=0.001  # trailing\nn_paths=500\nvariant=paper-133\n\n")
-        values = parse_config_file(str(p))
-        assert values == {"m": 3, "dt": 0.001, "n_paths": 500, "variant": "paper-133"}
-
-    def test_unknown_key_rejected(self, tmp_path):
-        p = tmp_path / "run.cfg"
-        p.write_text("paths=10\n")
-        with pytest.raises(ValueError):
-            parse_config_file(str(p))
-
-    def test_bad_line_rejected(self, tmp_path):
-        p = tmp_path / "run.cfg"
-        p.write_text("just some words\n")
-        with pytest.raises(ValueError):
-            parse_config_file(str(p))
-
-    def test_unknown_key_exits_64(self, tmp_path):
-        p = tmp_path / "run.cfg"
-        p.write_text("nonsense=1\n")
-        assert run_cli("constants", "--config", str(p)) == EXIT_CONFIG_ERROR
-
     def test_invalid_value_exits_64(self, tmp_path):
-        p = tmp_path / "run.cfg"
-        p.write_text("dt=-0.5\n")
-        assert run_cli("constants", "--config", str(p)) == EXIT_CONFIG_ERROR
-
-    @pytest.mark.parametrize("line", ["m=2.5", "dt=abc"])
-    def test_value_of_wrong_type_exits_64(self, tmp_path, line):
-        # each key parses as the type of its RunConfig default
-        p = tmp_path / "run.cfg"
-        p.write_text(line + "\n")
-        assert run_cli("constants", "--config", str(p), "--out", str(tmp_path)) == EXIT_CONFIG_ERROR
-
-    def test_flag_overrides_file(self, tmp_path):
-        p = tmp_path / "run.cfg"
-        p.write_text("seed=1\nout_dir=%s\n" % (tmp_path / "a"))
-        assert run_cli("constants", "--config", str(p), "--seed", "2", "--out", str(tmp_path / "b")) == 0
-        data = json.loads((tmp_path / "b" / "constants.json").read_text())
-        assert data["seed"] == 2
+        assert run_cli("scaling", "--out", str(tmp_path), "--dt", "-0.5") == EXIT_CONFIG_ERROR
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("suite", ["scaling", "hardy-limit"])
     @pytest.mark.parametrize("horizon", ["inf", "nan"])
@@ -90,13 +52,76 @@ class TestConfigFile:
         assert run_cli("scaling", "--out", str(tmp_path), "--paths", "20", "--dt", "0.01") == EXIT_CONFIG_ERROR
         assert "config error: two-sample KS needs n >= 50" in capsys.readouterr().err
 
+    def test_hardy_limit_horizon_past_the_tightness_bounds_exits_64_before_any_path(self, tmp_path, capsys,
+                                                                                  monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a chunk of paths ran")
+
+        monkeypatch.setattr(hardy_limit, "run_chunks", unreachable)
+        args = ["--out", str(tmp_path), "--paths", "10000", "--dt", "0.0001", "--horizon", "1e16"]
+        assert run_cli("hardy-limit", *args) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith("config error: horizon 1e+16 lies past every tightness bound")
+        assert not list(tmp_path.iterdir())
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RunConfig(q_max=0).validate()
         with pytest.raises(ValueError):
-            RunConfig(r_trunc=1.5).validate()
-        with pytest.raises(ValueError):
             RunConfig(variant="x").validate()
+
+
+# the flags each subcommand takes besides --out, and an argument that each flag accepts
+TAKES = {
+    "constants": {"--seed"},
+    "exit-dist": {"--seed", "--dt", "--horizon", "--paths", "--workers"},
+    "reflection": {"--seed", "--dt", "--paths", "--workers"},
+    "tightness": {"--seed", "--dt", "--m", "--paths", "--workers"},
+    "scaling": {"--seed", "--dt", "--horizon", "--m", "--paths", "--workers"},
+    "continuity": {"--seed", "--dt", "--horizon", "--m", "--paths", "--workers"},
+    "martingale": {"--seed", "--paths"},
+    "hardy-limit": {"--seed", "--dt", "--horizon", "--paths", "--q-max", "--variant", "--workers"},
+    "report": set(),
+}
+FLAG_ARGS = {"--seed": "1", "--dt": "0.01", "--horizon": "5", "--m": "3", "--paths": "100", "--q-max": "2",
+             "--variant": "paper-133", "--workers": "2", "--config": "run.cfg"}
+
+
+class TestSuiteSettings:
+    """Each subcommand takes only the settings it reads, and its outputs echo only those."""
+
+    @pytest.mark.parametrize("command,flag", [(c, f) for c in TAKES for f in FLAG_ARGS if f not in TAKES[c]])
+    def test_unread_flag_is_a_usage_error(self, tmp_path, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--out", str(tmp_path), flag, FLAG_ARGS[flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_config_echoes_the_settings_each_suite_reads(self, small_run):
+        out, _ = small_run
+        echo = {suite: set(json.loads((out / f"{suite}.json").read_text())["config"]) for suite in SUITES}
+        path = {"seed", "dt", "n_paths"}
+        assert echo == {
+            "constants": {"seed"},
+            "exit-dist": path | {"horizon"},
+            "reflection": path,
+            "tightness": path | {"m"},
+            "scaling": path | {"horizon", "m"},
+            "continuity": path | {"horizon", "m"},
+            "martingale": {"seed", "n_paths"},
+            "hardy-limit": path | {"horizon", "q_max", "variant"},
+        }
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_suite_reads_no_field_outside_its_entry(self, tmp_path, suite):
+        # every RunConfig field the suite does not declare is None, so reading one raises
+        declared = cli.suite_fields(suite)
+        args = vars(cli.build_parser().parse_args([suite, *SMALL_ARGS[suite]]))
+        values = {f.name: None for f in fields(RunConfig)}
+        values.update({key: getattr(RunConfig(), key) if args[key] is None else args[key] for key in declared})
+        values["out_dir"] = str(tmp_path)
+        assert cli._RUNNERS[suite][0](RunConfig(**values), tmp_path) in (True, False)
+        assert (tmp_path / f"{suite}.json").is_file()
 
 
 class TestVerdictHelpers:
@@ -370,6 +395,21 @@ class TestScripts:
         assert proc.stderr == "config error: seed must be >= 0\n"
         assert not (tmp_path / "summary.json").exists()
 
+    def test_run_all_forwards_each_flag_to_the_suites_that_read_it(self, tmp_path):
+        script = str(Path(__file__).resolve().parents[1] / "scripts" / "run_all.py")
+        flags = ["--paths", "200", "--dt", "0.01", "--workers", "2", "--m", "3"]
+        proc = subprocess.run([sys.executable, script, "--out", str(tmp_path), *flags], env=src_env(),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == json.loads((tmp_path / "summary.json").read_text())["failed"], proc.stderr
+        echo = {suite: json.loads((tmp_path / f"{suite}.json").read_text())["config"] for suite in SUITES}
+        assert {suite: c.get("m") for suite, c in echo.items() if "m" in c} == dict.fromkeys(
+            ("tightness", "scaling", "continuity"), 3)
+        assert all(c.get("n_paths", 200) == 200 and c.get("dt", 0.01) == 0.01 for c in echo.values())
+        bogus = subprocess.run([sys.executable, script, "--out", str(tmp_path / "bogus"), "--bogus", "1"],
+                               env=src_env(), capture_output=True, text=True, timeout=60)
+        assert bogus.returncode == 2 and "--bogus" in bogus.stderr
+        assert not (tmp_path / "bogus").exists()
+
     @pytest.fixture(scope="class")
     def bench_layers_run(self, tmp_path_factory):
         # one end-to-end run of the harness at smoke sizes, read by the two tests below; they keep the
@@ -454,28 +494,29 @@ class TestTracerHooks:
 class TestGoldenOutputs:
     """Every suite output at SMALL_ARGS and seed 20260809, pinned by sha256.
 
-    Recorded with numpy 2.4.6.  A change that alters the random draws or the
-    arithmetic on purpose updates these digests and says so in CHANGES.md.
+    Recorded with numpy 2.4.6.  A change that alters the random draws, the
+    arithmetic or the settings the outputs echo on purpose updates these
+    digests and says so in CHANGES.md.
     """
 
     DIGESTS = {
-        "constants.csv": "42a1c589631a15b81618d85e0d53c131e0f537fe06015167f612c6760860ea9b",
-        "constants.json": "1160c93f10b647a2a1c63d3a7e3676a0a8b62f426fcc63d1b85b903da0f6e0a1",
+        "constants.csv": "9a90ccb424eb66a4f25cd2e50f46d0234ba786abdbbf766e054f13639dd12ef5",
+        "constants.json": "a94becf5a75a8abf4d554b3980004b967c00039bd7a416e222204a62b9d2058e",
         "continuity.csv": "8bfd2ab34f4019c80cb8b8abf9312ab0af9488f35a87a92824edbe2c4df67d65",
-        "continuity.json": "a03a74190808096eccdedad17e676959005cb0bad5412df7a2fb6c4ebc20c329",
+        "continuity.json": "70bc85cc63bf7ec6a85250ae3dcab510359956f659a25bab816cfbe5bb020cb1",
         "exit-dist-trace.csv": "781919ffa4f740faf21da0bbb959fcaf3d766f69306f66da3dc0117ae3f7b2de",
         "exit-dist.csv": "1a7251cee74b12b9c1d56affc3ca9ca30b7071455d04a6668419372cd5e7cc92",
-        "exit-dist.json": "ac54fbdc9c2ab76c87f09087fbff7723c7ac176139b33288382c314301b954e3",
+        "exit-dist.json": "443671855cf10f573bb00aea64e2b5cbd2817a4619f95a86d5c13be8472ed1fb",
         "hardy-limit.csv": "d1b49d9d31fbd9646817d5606f43069f7bd3e20e3d5321e3b489c43d7a192b87",
-        "hardy-limit.json": "70412a527c0f66396b6dce16572ec7b1ccce2ea003e7650b964d810b3006f5f3",
-        "martingale.csv": "3f3d32bc80cffced475691e2e7b714a381f3904dddd5d3f0ca0031dd566f5ee9",
-        "martingale.json": "e996d6c454d0c6ffa66d92b63556ceaf278e5baf02deb6bfee26ee238386a405",
+        "hardy-limit.json": "3e5ea16c2e88c368caa4b67fcc26e4ebd0fc571efce9af45b8446f4a8c1730bb",
+        "martingale.csv": "bffb457f9d6cc768eca0d322515fa3cbcc1c63f28f7e5a965ffbe80137e30257",
+        "martingale.json": "c9806394cc5e927bb3d13a3d4b32db4dd6e41c5fcb25fc89a94214d022c9543d",
         "reflection.csv": "3f94f20a88d6d93aa79bce42e70b5f4f52cb24c0ebdfa073e3cab76e0bc7bae8",
-        "reflection.json": "cd5d4c748f836219ea31dd38437137144b2e50ab3a0a6d50cb4928162141b6c5",
+        "reflection.json": "7b8e26e2935c4e4da007858a8e493f9412384cad35fed6f618ab938abbddbed8",
         "scaling.csv": "7dc1cd7d3cb9a18a4dcea941ee778d648b22a5be037a8c789d6a0bfa7f07068c",
-        "scaling.json": "3c56572cb2edd61c44b411f5b8728409998c2acaee2d516e5beaa57e641e8685",
+        "scaling.json": "e2c6db54c8a7c2c94f011a43f806e6d7573c6e4d00f503d7ffbf257773f332f7",
         "tightness.csv": "0eca15aba1cb5eeb4e4dd29f394925ddc178944eeb5548119c0fea577909ff76",
-        "tightness.json": "4686ead62ffe95abacc985437711341229b51c820efa84f89c8f4f6ec1cfffeb",
+        "tightness.json": "81dcc83cb7a9461ea7af9610c20087526011c6f425b40bca7e6881bf4570d52f",
     }
 
     def test_outputs_match_recorded_digests(self, small_run):

@@ -7,7 +7,6 @@ from ballwalk.harmonic import HarmonicFn, RateData, catalog, estimate_rates, har
 from ballwalk.hardy_limit import (
     RadiusSchedule,
     delta3,
-    gamma_limit,
     limit_experiment,
     radius_schedule,
     schedule_epsilons,
@@ -32,10 +31,6 @@ class TestDelta3:
         grid = [1e-3, 1e-2, 0.1, 0.5]
         vals = [delta3(rates, e) for e in grid]
         assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
-
-    def test_gamma(self):
-        rates = synthetic_rates(lambda e: e, lambda e: e, b1=0.25, b2=0.75)
-        assert gamma_limit(rates) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestRadiusSchedule:
@@ -100,7 +95,7 @@ class TestGammaConsistency:
             else:
                 rates = estimate_rates(u)
                 quad = mid
-            g = gamma_limit(rates)
+            g = rates.b2 - 1.0 + rates.b1  # the limit of I3 as r -> 1
             for eps in (0.1, 0.01):
                 d = delta3(rates, eps)
                 for frac in (0.5, 0.9):
