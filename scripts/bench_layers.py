@@ -11,6 +11,9 @@ the sampler); a cell past CAP_S seconds is null.  tables: ``hardy_table`` nodes/
 on poisson-slice over the 18 radii ``arange(0.1, 0.951, 0.05)`` with the m=2 2048
 and m=3 224 chart rules (median of N tables at m=2, N/6 at m=3), and
 ``mc_estimate`` samples/s on 10^6 normals (N/3 calls); two children per side.
+euler: at m in {1, 2, 3}, path-steps/s of one ``exit_points_batch`` chunk of
+min(N, CHUNK) paths, CHUNK = 8192, from 0 to the unit sphere at dt 1e-4 (median
+of three calls; a path's steps are ceil(tau / dt)), one child per m and side.
 
 With --perfbench-seconds > 0, ``perfbench/run.py`` runs once untimed per workload
 and side, then PAIRS[w] alternating pairs of workload w; the record keeps each
@@ -34,7 +37,9 @@ RADII = (0.5, 0.9, 0.989, 0.999)
 CAP_S = 60.0
 TABLES = {"m2_n2048": (2, 2048), "m3_n224": (3, 224)}
 MC_SAMPLES = 10**6
-PAIRS = {"exact-martingale": 10, "euler-exit": 3, "hardy-limit-w2": 3}
+EULER_DIMS = (1, 2, 3)
+EULER_DT = 1e-4
+PAIRS = {"exact-martingale": 10, "euler-exit": 10, "hardy-limit-w2": 10}
 METRICS = ("wall_s", "setup_s", "cpu_s", "peak_rss_mb")
 
 
@@ -96,6 +101,28 @@ def tables(count: int) -> dict:
     return out
 
 
+def euler(m: int, n: int) -> dict:
+    """Runs in the child: path-steps/s of one exit_points_batch chunk of min(n, CHUNK) paths from 0 at m."""
+    import numpy as np
+
+    from ballwalk.brownian import CHUNK, PathConfig, exit_points_batch
+
+    paths = min(n, CHUNK)
+
+    def steps(seed: int, paths: int) -> float:
+        cfg = PathConfig(m=m, dt=EULER_DT, horizon=100.0, seed=seed, stream_id=m)
+        taus, _, _ = exit_points_batch(cfg, np.zeros(m), 1.0, paths)
+        return float(np.sum(np.ceil(taus / EULER_DT - 1e-6)))
+
+    steps(1, min(paths, 256))  # warm-up
+    rates = []
+    for rep in range(3):
+        t0 = time.perf_counter()
+        n = steps(2 + rep, paths)
+        rates.append(n / (time.perf_counter() - t0))
+    return {"paths": paths, "dt": EULER_DT, "path_steps_per_s": statistics.median(rates)}
+
+
 def child(root: Path, *args: str, timeout: float | None = None) -> dict:
     """The figures a child of this script prints, run with root/src on its path."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
@@ -155,10 +182,11 @@ def run_pairs(sides: dict, seconds: float) -> dict:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--child", nargs="+", help=argparse.SUPPRESS)  # "cell M S" or "tables"
+    ap.add_argument("--child", nargs="+", help=argparse.SUPPRESS)  # "cell M S", "tables" or "euler M"
     ap.add_argument("--side", action="append", default=[], metavar="NAME=CHECKOUT",
                     help="a checkout whose src/ is measured, under NAME; repeat for each side")
-    ap.add_argument("--points", type=int, default=20_000, help="exit points per timed sampler call")
+    ap.add_argument("--points", type=int, default=20_000,
+                    help="exit points per timed sampler call (per timed Euler chunk, at most 8192)")
     ap.add_argument("--tables", type=int, default=30,
                     help="timed tables at m=2 (a sixth as many at m=3, a third as many mc_estimate calls)")
     ap.add_argument("--perfbench-seconds", type=float, default=0.0)
@@ -166,7 +194,12 @@ def main() -> int:
     ns = ap.parse_args()
     if ns.child:
         kind, *params = ns.child
-        figures = tables(ns.tables) if kind == "tables" else cell(int(params[0]), float(params[1]), ns.points)
+        if kind == "tables":
+            figures = tables(ns.tables)
+        elif kind == "euler":
+            figures = euler(int(params[0]), ns.points)
+        else:
+            figures = cell(int(params[0]), float(params[1]), ns.points)
         print(json.dumps(figures))
         return 0
     if ns.out is None or not ns.side or not all("=" in side for side in ns.side):
@@ -174,7 +207,10 @@ def main() -> int:
     sides = {name: Path(root).resolve() for name, root in (side.split("=", 1) for side in ns.side)}
     record = {"python": platform.python_version(), "nproc": os.cpu_count(), "points": ns.points, "cap_s": CAP_S,
               "sampler": {name: run_cells(root, ns.points) for name, root in sides.items()},
-              "tables": in_turns(sides, 2, "tables", lambda root: child(root, "tables", "--tables", str(ns.tables)))}
+              "tables": in_turns(sides, 2, "tables", lambda root: child(root, "tables", "--tables", str(ns.tables))),
+              "euler": {name: {f"m={m}": child(root, "euler", str(m), "--points", str(ns.points))
+                               for m in EULER_DIMS}
+                        for name, root in sides.items()}}
     if ns.perfbench_seconds > 0:
         record["perfbench_seconds"] = ns.perfbench_seconds
         record["perfbench"] = run_pairs(sides, ns.perfbench_seconds)

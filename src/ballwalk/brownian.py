@@ -152,7 +152,8 @@ def euler_chunk(rng, x0, c: int, dt: float, n_steps: int, bound: float,
                 level=_radius, bridge: bool = True, observe=None) -> ChunkExits:
     """Step c paths from x0 until ``level(x) >= bound``, for at most n_steps steps.
 
-    Live paths advance in blocks of k = min(steps left, MAX_BLOCK,
+    x0 is one start of shape (m,) that every path shares, or one start per
+    path, of shape (c, m).  Live paths advance in blocks of k = min(steps left, MAX_BLOCK,
     BLOCK_CELLS // (live m)) steps: one (k, live, m) Gaussian block is summed
     from the current positions, and a path exits at its first step that ends
     at or above the bound.  k depends on the live count alone, so the draws
@@ -169,11 +170,12 @@ def euler_chunk(rng, x0, c: int, dt: float, n_steps: int, bound: float,
     step, the clock t at its start (step i ends at t + (i+1) dt), and
     valid[k, n], true for the steps before each path's exit step.
     """
-    x = np.tile(np.asarray(x0, dtype=float), (c, 1))
+    x0 = np.asarray(x0, dtype=float)
+    m = x0.shape[-1]
+    x = np.array(np.broadcast_to(x0, (c, m)))
     lv = level(x)
     if np.any(lv >= bound):
         raise ValueError("start must lie in the open ball")
-    m = x.shape[1]
     sq = math.sqrt(dt)
     live = np.arange(c)
     t0 = np.empty(c)
@@ -337,7 +339,11 @@ def wos_from_many(rng: np.random.Generator, xs: np.ndarray, r: float) -> np.ndar
 
     Off-centre rows at m >= 3 run in rounds: each round draws, for every
     pending row, one sphere point w, then one uniform U, then at m >= 4 one
-    accept uniform; a row keeps its first accepted draw.
+    accept uniform; a row keeps its first accepted draw.  A row stays
+    pending with probability 1 - 1/c per round, c the proposals per point,
+    so after ``thinning_rounds(m)`` rounds, 29 at m = 4 and 41 at m = 5, it
+    is pending with probability at most 2^-64; rows still pending then
+    raise RuntimeError, naming them, rather than return a biased point.
     """
     xs = np.asarray(xs, dtype=float)
     n, m = xs.shape
@@ -358,7 +364,10 @@ def wos_from_many(rng: np.random.Generator, xs: np.ndarray, r: float) -> np.ndar
         wa2 = d * d + (1.0 - d) * np.einsum("ij,ij->i", w + e, w + e)[:, None]  # |w + x|^2
         out[plain] = (d * (2.0 - d) * (w + a) + wa2 * a) / wa2
     pending = np.flatnonzero(polar)
-    while pending.size:
+    cap = thinning_rounds(m)
+    for _ in range(cap):
+        if not pending.size:
+            break
         p = pending.size
         w = uniform_sphere_sample(rng, m, size=p)
         v = 1.0 - rng.random(p)
@@ -373,7 +382,21 @@ def wos_from_many(rng: np.random.Generator, xs: np.ndarray, r: float) -> np.ndar
         w /= _radius(w)[:, None]
         out[hit] = (1.0 - 2.0 * h) * e + 2.0 * np.sqrt(h * (1.0 - h)) * w
         pending = pending[~ok]
+    if pending.size:
+        raise RuntimeError(f"wos_from_many: rows {pending[:8].tolist()} ({pending.size} in all) "
+                           f"still pending after {cap} thinning rounds")
     return r * out
+
+
+def thinning_rounds(m: int) -> int:
+    """The cap R = ceil(-64 ln 2 / ln(1 - 1/c)) on ``wos_from_many``'s rounds at
+    dimension m, c = 2 Gamma(m/2) / (sqrt(pi) Gamma((m-1)/2)) its proposals per
+    point: a row outlives R rounds with probability (1 - 1/c)^R <= 2^-64.
+    Every draw is accepted at m <= 3, so R = 1 there."""
+    if m <= 3:
+        return 1
+    c = 2.0 * math.exp(math.lgamma(m / 2.0) - math.lgamma((m - 1) / 2.0)) / math.sqrt(math.pi)
+    return math.ceil(-64.0 * math.log(2.0) / math.log(1.0 - 1.0 / c))
 
 
 def reflection_crossing_mc(cfg: PathConfig, lam: float, n_paths: int, workers: int = 1) -> McEstimate:

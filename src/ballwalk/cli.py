@@ -433,7 +433,8 @@ def suite_fields(command: str) -> tuple[str, ...]:
     return _RUNNERS[command][1] if command in _RUNNERS else ()
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``ballwalk`` parser, and its subcommand parsers by name."""
     ap = argparse.ArgumentParser(prog="ballwalk", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
     # a field's type is the type of its default, and parses the flag's argument
@@ -444,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
         for key in suite_fields(name):
             choices = VARIANTS if key == "variant" else None
             p.add_argument(FLAGS[key], dest=key, type=types[key], default=None, choices=choices, help=_HELP.get(key))
-    return ap
+    return ap, sub.choices
 
 
 def load_config(args) -> RunConfig:
@@ -454,7 +455,10 @@ def load_config(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    ap, commands = build_parser()
+    args, extra = ap.parse_known_args(argv)
+    if extra:  # reported with the usage of the subcommand, which lists the flags it takes
+        commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         cfg = load_config(args)
         out = Path(cfg.out_dir)

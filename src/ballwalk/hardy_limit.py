@@ -8,7 +8,10 @@ value V with, for every q,
 
 The experiment truncates at a radius just below 1, takes V as u at the
 truncation exit point, and measures the per-q exceedance along discretized
-paths.
+paths.  No window opens before a path first reaches r_1, so each path starts
+exactly on a sphere just inside it (``first_leg_radius``): by the strong
+Markov property, Brownian motion from 0 leaves D(0, rho) at a uniform point
+of the rho-sphere, and only the path after that is stepped.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .brownian import PathConfig, euler_chunk, exit_points, run_chunks, tightness_N
 from .harmonic import HarmonicFn, RateData, radius_ladder
-from .sphere import eval_on_points
+from .sphere import eval_on_points, uniform_sphere_sample
 from .stats import binomial_se
 
 VARIANTS = ("paper-133", "paper-step10", "conservative-min")
@@ -83,6 +86,14 @@ def radius_schedule(rates: RateData, q_max: int, variant: str = "conservative-mi
     return RadiusSchedule(np.array(radii))
 
 
+def first_leg_radius(r1: float, m: int, dt: float) -> float:
+    """Radius rho = max(0, r1 - 4 sqrt(m dt)) of the sphere the limit experiment's
+    paths start on: four standard deviations of one Euler step below r1, so
+    that a step from inside D(0, rho) to past r1 has probability about
+    P(chi^2_m > 16 m), 1e-7 at m = 2."""
+    return max(0.0, r1 - 4.0 * math.sqrt(m * dt))
+
+
 @dataclass(frozen=True)
 class LimitRow:
     q: int
@@ -113,14 +124,20 @@ def limit_experiment(
 ) -> LimitReport:
     """Per-q exceedance of |V - u(B_s)| > 2^(3-q) along discretized paths.
 
-    Each path runs from 0 until it leaves D(0, r_trunc); V is u at that exit
-    point.  For every scheduled radius the first grid crossing opens the
-    observation window, and the running min/max of u along the remaining path
-    gives the sup exactly.  Censored paths (horizon hit) are excluded and
-    counted against the tightness allowance 2^(1-k), k the largest with
-    N_{2,k} < horizon.  That search stops by k = 25: tightness_N(2.0, 26)
-    exceeds 2^53, so a horizon past N_{2,25} raises ValueError before any
-    path runs.
+    Each path is Brownian motion from 0, whose first leg, up to its exit from
+    D(0, rho), rho = ``first_leg_radius(r_1, m, dt)``, is exact: the exit
+    point is uniform on the rho-sphere, drawn per chunk (c m normals) before
+    any Euler normal, and no window opens during that leg.  From there the
+    path is stepped until it leaves D(0, r_trunc); V is u at that exit point
+    (at rho = 0 every start is 0, the walk from the origin).  For every
+    scheduled radius the first grid crossing opens the observation window,
+    and the running min/max of u along the remaining path gives the sup
+    exactly.  The horizon bounds the stepped leg alone.  Censored paths
+    (horizon hit) are excluded and counted against the tightness allowance
+    2^(1-k), k the largest with N_{2,k} < horizon, which still holds because
+    the stepped leg is never longer than the exit time from 0.  That search
+    stops by k = 25: tightness_N(2.0, 26) exceeds 2^53, so a horizon past
+    N_{2,25} raises ValueError before any path runs.
     """
     if not sched.radii[-1] < r_trunc < 1.0:
         raise ValueError("need max schedule radius < r_trunc < 1")
@@ -133,6 +150,7 @@ def limit_experiment(
     allowance = 2.0 ** (-k + 1)
     radii = sched.radii
     q_max = radii.size
+    rho = first_leg_radius(float(radii[0]), cfg.m, cfg.dt)
 
     def run(rng, c: int):
         umin = np.full((c, q_max), np.inf)
@@ -157,7 +175,8 @@ def limit_experiment(
             umax[wrows] = np.maximum(umax[wrows], np.where(inwin, uv[..., None], -np.inf).max(axis=0))
             crossed[wrows] = opened[-1]
 
-        ex = euler_chunk(rng, np.zeros(cfg.m), c, cfg.dt, cfg.n_steps, r_trunc, observe=windows)
+        x0 = rho * uniform_sphere_sample(rng, cfg.m, size=c)
+        ex = euler_chunk(rng, x0, c, cfg.dt, cfg.n_steps, r_trunc, observe=windows)
         _, exit_pts = exit_points(ex, r_trunc, cfg.dt)
         cen = ex.censored
         good = ~cen

@@ -144,17 +144,21 @@ def mc_surface_area(m: int, n: int, rng: np.random.Generator) -> McEstimate:
 def uniform_sphere_sample(rng: np.random.Generator, m: int, *, size: int | None = None):
     """Uniform point(s) on the unit sphere about 0.
 
-    Normalizes a vector of independent standard Gaussians; rows with norm
-    below 1e-300 (probability ~0) are redrawn.
+    Normalizes a vector of independent standard Gaussians.  A row's norm is
+    below 1e-300 with probability p < 1e-300 (its first coordinate alone is
+    that small with probability under 0.8e-300), so the redraw cap that
+    ``brownian.wos_from_many`` uses, ceil(-64 ln 2 / ln p) rounds, is one
+    round here: such a row raises RuntimeError, naming it, instead of
+    being redrawn.
     """
     if m < 1:
         raise ValueError("dimension must be >= 1")
     n = 1 if size is None else int(size)
     x = rng.standard_normal((n, m))
     norms = np.linalg.norm(x, axis=1)
-    while np.any(norms < 1e-300):
-        bad = norms < 1e-300
-        x[bad] = rng.standard_normal((int(bad.sum()), m))
-        norms = np.linalg.norm(x, axis=1)
+    bad = np.flatnonzero(norms < 1e-300)
+    if bad.size:
+        raise RuntimeError(f"uniform_sphere_sample: rows {bad[:8].tolist()} ({bad.size} in all) "
+                           "still have norm below 1e-300 after 1 round")
     pts = x / norms[:, None]
     return pts[0] if size is None else pts

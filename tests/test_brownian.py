@@ -462,6 +462,38 @@ class TestWalkOnSpheres:
         assert np.all(np.isfinite(z))
         assert np.max(np.abs(z - [-1.0, 0.0, 0.0])) <= 1e-4
 
+    def test_thinning_round_caps(self):
+        assert [brownian.thinning_rounds(m) for m in (2, 3, 4, 5, 10)] == [1, 1, 29, 41, 80]
+
+    @pytest.mark.parametrize("accept_round", [None, 29])
+    def test_thinning_stops_at_its_cap(self, accept_round):
+        # a stub whose accept uniforms reject every proposal until round accept_round:
+        # rows accepted in the last allowed round return, rows pending past it raise
+        class Rejecting:
+            standard_normal = rng_stream(27).standard_normal
+
+            def __init__(self):
+                self.calls = 0
+
+            def random(self, n):
+                self.calls += 1  # odd calls draw a round's U, even ones its accept uniform
+                if self.calls % 2:
+                    return np.full(n, 0.5)
+                return np.full(n, 0.0 if self.calls // 2 == accept_round else 1.0)
+
+        m, cap = 4, brownian.thinning_rounds(4)
+        xs = np.zeros((6, m))
+        xs[:, 0] = 0.5
+        xs[0, 0] = 0.0  # a centred row takes its point before the rounds
+        gen = Rejecting()
+        if accept_round is None:
+            with pytest.raises(RuntimeError, match=r"rows \[1, 2, 3, 4, 5\] \(5 in all\) still pending after 29"):
+                wos_from_many(gen, xs, 1.0)
+        else:
+            z = wos_from_many(gen, xs, 1.0)
+            assert np.max(np.abs(np.linalg.norm(z, axis=1) - 1.0)) <= 1e-12
+        assert gen.calls == 2 * cap
+
     def test_exponent_one_half_too_high_fails_ks(self):
         # negative control: accepting with g^((m-2)/2) in place of g^((m-3)/2)
         # gives the correct law thinned by a further g^(1/2),

@@ -94,7 +94,11 @@ class TestSuiteSettings:
         with pytest.raises(SystemExit) as exc:
             run_cli(command, "--out", str(tmp_path), flag, FLAG_ARGS[flag])
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        # the subcommand's own usage, with the flags it does take, not the list of subcommands
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: ballwalk {command} [-h] [--out OUT_DIR]"), err
+        assert f"ballwalk {command}: error: unrecognized arguments: {flag}" in err
+        assert "{constants," not in err
         assert not list(tmp_path.iterdir())
 
     def test_config_echoes_the_settings_each_suite_reads(self, small_run):
@@ -116,7 +120,7 @@ class TestSuiteSettings:
     def test_suite_reads_no_field_outside_its_entry(self, tmp_path, suite):
         # every RunConfig field the suite does not declare is None, so reading one raises
         declared = cli.suite_fields(suite)
-        args = vars(cli.build_parser().parse_args([suite, *SMALL_ARGS[suite]]))
+        args = vars(cli.build_parser()[0].parse_args([suite, *SMALL_ARGS[suite]]))
         values = {f.name: None for f in fields(RunConfig)}
         values.update({key: getattr(RunConfig(), key) if args[key] is None else args[key] for key in declared})
         values["out_dir"] = str(tmp_path)
@@ -452,6 +456,14 @@ class TestScripts:
             mc = tables["mc_estimate_1e6"]
             assert set(mc) == {"samples", "calls", "samples_per_s"}
             assert mc["samples"] == 10**6 and mc["calls"] == 1 and mc["samples_per_s"] > 0
+
+    def test_euler_cell_per_dimension(self, bench_layers_run):
+        _, _, proc, out = bench_layers_run
+        assert proc.returncode == 0, proc.stderr
+        cells = json.loads(out.read_text())["euler"]["smoke"]
+        assert set(cells) == {"m=1", "m=2", "m=3"}
+        for figures in cells.values():
+            assert figures["paths"] == 200 and figures["dt"] == 1e-4 and figures["path_steps_per_s"] > 0
 
 
 class TestTracerHooks:

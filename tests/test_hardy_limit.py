@@ -1,18 +1,24 @@
+import math
+
 import numpy as np
 import pytest
 
-from ballwalk import brownian
+from ballwalk import brownian, hardy_limit
 from ballwalk.brownian import PathConfig, euler_chunk, exit_points
 from ballwalk.harmonic import HarmonicFn, RateData, catalog, estimate_rates, hardy_integrals, zero_fn
 from ballwalk.hardy_limit import (
     RadiusSchedule,
     delta3,
+    first_leg_radius,
     limit_experiment,
     radius_schedule,
     schedule_epsilons,
 )
-from ballwalk.sphere import SurfaceQuadrature
+from ballwalk.sphere import SurfaceQuadrature, uniform_sphere_sample
+from ballwalk.stats import ks_two_sample
 from ballwalk.streams import rng_stream
+
+KS_1E4 = math.sqrt(-math.log(1e-4 / 2.0) / 2.0)  # two-sample KS coefficient at level 1e-4
 
 GAUSS2 = SurfaceQuadrature(2, node_count=512)
 
@@ -158,7 +164,9 @@ class TestLimitExperimentValues:
 
         cfg = self.CFG
         rng = rng_stream(cfg.seed, cfg.stream_id, 0)
-        ex = euler_chunk(rng, np.zeros(2), self.N, cfg.dt, cfg.n_steps, self.R_TRUNC, observe=record)
+        # the exact first leg: uniform starts on the rho-sphere, drawn before any Euler normal
+        x0 = first_leg_radius(self.SCHED.radii[0], 2, cfg.dt) * uniform_sphere_sample(rng, 2, size=self.N)
+        ex = euler_chunk(rng, x0, self.N, cfg.dt, cfg.n_steps, self.R_TRUNC, observe=record)
         assert not ex.censored.any()
         _, pts = exit_points(ex, self.R_TRUNC, cfg.dt)
         v = self.U.eval(pts)
@@ -181,3 +189,66 @@ class TestLimitExperimentValues:
         got = [row.exceedance for row in rep.rows]
         assert all(0.0 < p < 1.0 for p in got), got
         assert got == self.brute_force_exceedance()
+
+
+class TestFirstLeg:
+    """The exact first leg: paths start uniformly on the rho-sphere just inside r_1.
+
+    The hardy-limit verdicts cannot fail (their bounds are 8, 4 and 2), so the
+    change of start is judged here: the per-path window sups of u = 8 x1 from
+    the exact start and from the origin share one law at each q.
+    """
+
+    U = TestLimitExperimentValues.U
+    SCHED = TestLimitExperimentValues.SCHED
+    N, R_TRUNC = 20_000, 0.99
+
+    def window_sups(self, monkeypatch, stream_id, dt=1e-3, n_paths=N):
+        """Per-path sups of |V - u| over the q = 1..3 windows, uncensored paths only,
+        and the starts every chunk was stepped from."""
+        got, starts = [], []
+
+        def recording_chunks(*args, **kwargs):
+            got.append(brownian.run_chunks(*args, **kwargs))
+            return got[-1]
+
+        def recording_euler(rng, x0, *args, **kwargs):
+            starts.append(np.asarray(x0))
+            return euler_chunk(rng, x0, *args, **kwargs)
+
+        monkeypatch.setattr(hardy_limit, "run_chunks", recording_chunks)
+        monkeypatch.setattr(hardy_limit, "euler_chunk", recording_euler)
+        cfg = PathConfig(m=2, dt=dt, horizon=100.0, seed=20260809, stream_id=stream_id)
+        limit_experiment(self.U, self.SCHED, cfg, n_paths, self.R_TRUNC)
+        dev, censored, _ = got[0]
+        return dev[~censored], starts
+
+    def ks_statistics(self, monkeypatch) -> tuple[list, float]:
+        exact, _ = self.window_sups(monkeypatch, 7)
+        monkeypatch.setattr(hardy_limit, "first_leg_radius", lambda r1, m, dt: 0.0)
+        origin, _ = self.window_sups(monkeypatch, 8)
+        threshold = KS_1E4 * math.sqrt((len(exact) + len(origin)) / (len(exact) * len(origin)))
+        return [ks_two_sample(exact[:, q], origin[:, q]).statistic for q in range(3)], threshold
+
+    def test_window_sups_match_the_walk_from_the_origin(self, monkeypatch):
+        stats, threshold = self.ks_statistics(monkeypatch)
+        assert max(stats) < threshold, (stats, threshold)
+
+    def test_starts_on_the_e1_axis_fail(self, monkeypatch):
+        # named defect: every path starts at rho e1 instead of a uniform point of the rho-sphere
+        monkeypatch.setattr(hardy_limit, "uniform_sphere_sample", lambda rng, m, size: np.tile(np.eye(m)[0], (size, 1)))
+        stats, threshold = self.ks_statistics(monkeypatch)
+        assert max(stats) >= threshold, (stats, threshold)
+
+    def test_starts_lie_on_the_sphere_below_r1(self, monkeypatch):
+        rho = first_leg_radius(0.8, 2, 1e-3)
+        assert 0.0 < rho < 0.8
+        _, starts = self.window_sups(monkeypatch, 7)
+        x0 = np.concatenate(starts)
+        assert x0.shape == (self.N, 2)
+        assert np.max(np.abs(np.linalg.norm(x0, axis=1) - rho)) <= 1e-15
+
+    def test_coarse_dt_starts_at_the_origin(self, monkeypatch):
+        assert first_leg_radius(0.8, 2, 0.1) == 0.0
+        _, starts = self.window_sups(monkeypatch, 7, dt=0.1, n_paths=50)
+        assert np.all(np.concatenate(starts) == 0.0)

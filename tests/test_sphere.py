@@ -182,6 +182,20 @@ class TestUniformSampling:
         with pytest.raises(TypeError):
             uniform_sphere_sample(rng, 3, 5)
 
+    def test_norm_below_1e_300_raises_at_the_one_round_cap(self):
+        # the cap ceil(-64 ln 2 / ln p) is one round for p = 1e-300, so a stub whose
+        # normals vanish in rows 1 and 3 raises at once and names those rows
+        assert math.ceil(-64.0 * math.log(2.0) / math.log(1e-300)) == 1
+
+        class VanishingRows:
+            def standard_normal(self, shape):
+                x = np.ones(shape)
+                x[[1, 3]] = 0.0
+                return x
+
+        with pytest.raises(RuntimeError, match=r"rows \[1, 3\] \(2 in all\)"):
+            uniform_sphere_sample(VanishingRows(), 3, size=5)
+
     def test_mean_first_coordinate(self, rng):
         pts = uniform_sphere_sample(rng, 3, size=100_000)
         assert abs(pts[:, 0].mean()) <= 3.0 / math.sqrt(100_000)
