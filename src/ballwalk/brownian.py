@@ -91,8 +91,10 @@ class PathConfig:
             raise ValueError("dimension must be >= 1")
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
-        if not self.dt <= self.horizon < math.inf:
+        if not self.horizon < math.inf:
             raise ValueError(f"horizon must be finite and >= dt, got {self.horizon}")
+        if self.dt > self.horizon:
+            raise ValueError(f"dt {self.dt} exceeds the horizon {self.horizon}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

@@ -5,7 +5,8 @@ underlying numbers and a JSON verdict, and exits 0 on pass / 1 on failure.
 ``report`` folds all verdicts in a directory into summary.json and exits with
 the number of failed suites.  Each subcommand takes ``--out`` and the flags of
 the RunConfig fields it reads (``suite_fields``), and nothing else: any other
-flag is a usage error, exit 2.  Outputs are byte-stable: same settings and seed
+flag is a usage error, exit 2.  No horizon is a setting: paths stop at HORIZON
+unless the suite fixes its own.  Outputs are byte-stable: same settings and seed
 give identical files, CSV and verdict JSON alike, at any worker count (the
 JSON echoes the fields the suite reads, without ``workers``).  A value out of
 range, a value a suite rejects, an unreadable verdict file or a missing output
@@ -36,7 +37,7 @@ from .brownian import (
     wos_exit_points,
 )
 from .harmonic import catalog, estimate_rates, zero_fn
-from .hardy_limit import VARIANTS, limit_experiment, radius_schedule
+from .hardy_limit import limit_experiment, radius_schedule
 from .martingale import (
     MartingaleSample,
     lambda_bar,
@@ -51,6 +52,9 @@ from .stats import KsReport, binomial_se, ks_one_sample, ks_two_sample, mc_estim
 from .streams import rng_stream
 
 EXIT_CONFIG_ERROR = 64
+# The suites' path horizon; reflection and tightness set their own.  A path from radius 2 outlives it
+# with probability about e^-144, and N_{2,3} = 162 < 200 < 651 = N_{2,4} sets hardy-limit's allowance at 2^-2.
+HORIZON = 200.0
 
 # Random stream ids of the suites, each a range: scaling keys 0 and 1 for its two samples,
 # tightness 30 + k for k = 1..3, hardy-limit 50 + i for its i-th member, constants 80 + m - 4
@@ -70,36 +74,32 @@ STREAMS = {
 class RunConfig:
     m: int = 2
     dt: float = 1e-4
-    horizon: float = 200.0
     n_paths: int = 4000
     seed: int = 20260809
     q_max: int = 3
-    variant: str = "conservative-min"
     out_dir: str = "out"
     workers: int = 1
 
     def validate(self):
-        PathConfig(m=self.m, dt=self.dt, horizon=self.horizon, seed=self.seed)  # checks m, dt, horizon and seed
+        PathConfig(m=self.m, dt=self.dt, horizon=HORIZON, seed=self.seed)  # checks m, dt and seed
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
         if self.q_max < 1:
             raise ValueError("q_max must be >= 1")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
     def path(self, stream: str, index: int = 0, m: int | None = None, horizon: float | None = None) -> PathConfig:
         """The paths of stream ``STREAMS[stream][index]`` at this run's seed and dt,
-        and at its m and horizon unless they are given."""
+        and at its m and at HORIZON unless they are given."""
         m = self.m if m is None else m
-        horizon = self.horizon if horizon is None else horizon
+        horizon = HORIZON if horizon is None else horizon
         return PathConfig(m=m, dt=self.dt, horizon=horizon, seed=self.seed, stream_id=STREAMS[stream][index])
 
 
 # RunConfig field -> its command-line flag; every subcommand also takes --out (out_dir)
-FLAGS = {"seed": "--seed", "dt": "--dt", "horizon": "--horizon", "m": "--m", "n_paths": "--paths",
-         "q_max": "--q-max", "variant": "--variant", "workers": "--workers"}
+FLAGS = {"seed": "--seed", "dt": "--dt", "m": "--m", "n_paths": "--paths", "q_max": "--q-max",
+         "workers": "--workers"}
 _HELP = {"n_paths": "number of Monte Carlo paths"}
 
 
@@ -366,7 +366,7 @@ def suite_hardy_limit(cfg: RunConfig, out: Path) -> bool:
     members = {"x1": cat[0], "poisson-slice": cat[-1], "zero": zero_fn(2)}
     rates = {name: estimate_rates(fn) for name, fn in members.items()}
     for i, (name, fn) in enumerate(members.items()):
-        sched = radius_schedule(rates[name], cfg.q_max, cfg.variant)
+        sched = radius_schedule(rates[name], cfg.q_max)
         pc = cfg.path("hardy-limit", i, m=2)
         rep = limit_experiment(fn, sched, pc, cfg.n_paths, workers=cfg.workers)
         for row in rep.rows:
@@ -379,7 +379,7 @@ def suite_hardy_limit(cfg: RunConfig, out: Path) -> bool:
         if name == "zero":
             total = sum(r.exceedance for r in rep.rows)
             verdicts.append(within("zero function: exceedance identically 0", 0.0, total, 0.0))
-    # variant dominance: conservative-min radii dominate both published constants
+    # the schedule's conservative-min radii dominate both published constants
     cons = radius_schedule(rates["x1"], cfg.q_max, "conservative-min").radii
     for var in ("paper-133", "paper-step10"):
         other = radius_schedule(rates["x1"], cfg.q_max, var).radii
@@ -417,13 +417,13 @@ def run_report(out: Path) -> int:
 # suite's flags, and the settings its outputs echo.
 _RUNNERS = {
     "constants": (suite_constants, ("seed",)),
-    "exit-dist": (suite_exit_dist, ("seed", "dt", "horizon", "n_paths", "workers")),
+    "exit-dist": (suite_exit_dist, ("seed", "dt", "n_paths", "workers")),
     "reflection": (suite_reflection, ("seed", "dt", "n_paths", "workers")),
     "tightness": (suite_tightness, ("seed", "dt", "m", "n_paths", "workers")),
-    "scaling": (suite_scaling, ("seed", "dt", "horizon", "m", "n_paths", "workers")),
-    "continuity": (suite_continuity, ("seed", "dt", "horizon", "m", "n_paths", "workers")),
+    "scaling": (suite_scaling, ("seed", "dt", "m", "n_paths", "workers")),
+    "continuity": (suite_continuity, ("seed", "dt", "m", "n_paths", "workers")),
     "martingale": (suite_martingale, ("seed", "n_paths")),
-    "hardy-limit": (suite_hardy_limit, ("seed", "dt", "horizon", "n_paths", "q_max", "variant", "workers")),
+    "hardy-limit": (suite_hardy_limit, ("seed", "dt", "n_paths", "q_max", "workers")),
 }
 SUITES = tuple(_RUNNERS)
 
@@ -443,8 +443,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         p = sub.add_parser(name)
         p.add_argument("--out", dest="out_dir", default=None, help="output directory")
         for key in suite_fields(name):
-            choices = VARIANTS if key == "variant" else None
-            p.add_argument(FLAGS[key], dest=key, type=types[key], default=None, choices=choices, help=_HELP.get(key))
+            p.add_argument(FLAGS[key], dest=key, type=types[key], default=None, help=_HELP.get(key))
     return ap, sub.choices
 
 

@@ -26,8 +26,6 @@ from .harmonic import HarmonicFn, RateData, radius_ladder
 from .sphere import eval_on_points, uniform_sphere_sample
 from .stats import binomial_se
 
-VARIANTS = ("paper-133", "paper-step10", "conservative-min")
-
 
 def delta3(rates: RateData, eps: float) -> float:
     """Combined rate min(delta1(eps/2), delta2(eps/2)) for the integral I3."""

@@ -582,7 +582,7 @@ class TestPathConfig:
             PathConfig(m=0, dt=1e-3, horizon=1.0, seed=1)
         with pytest.raises(ValueError):
             PathConfig(m=2, dt=0.0, horizon=1.0, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^dt 0.001 exceeds the horizon 0.0001$"):
             PathConfig(m=2, dt=1e-3, horizon=1e-4, seed=1)
         for horizon in (math.inf, math.nan):
             with pytest.raises(ValueError, match="horizon must be finite"):

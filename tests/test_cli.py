@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ballwalk import cli, hardy_limit
+from ballwalk import cli
 from ballwalk.cli import (
     EXIT_CONFIG_ERROR,
     STREAMS,
@@ -35,13 +35,6 @@ class TestConfigFile:
         assert run_cli("scaling", "--out", str(tmp_path), "--dt", "-0.5") == EXIT_CONFIG_ERROR
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("suite", ["scaling", "hardy-limit"])
-    @pytest.mark.parametrize("horizon", ["inf", "nan"])
-    def test_non_finite_horizon_exits_64(self, tmp_path, capsys, suite, horizon):
-        assert run_cli(suite, "--out", str(tmp_path), "--horizon", horizon) == EXIT_CONFIG_ERROR
-        assert f"config error: horizon must be finite and >= dt, got {horizon}" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
-
     def test_negative_seed_exits_64_before_any_work(self, tmp_path, capsys):
         assert run_cli("constants", "--out", str(tmp_path), "--seed", "-1") == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err == "config error: seed must be >= 0\n"
@@ -52,34 +45,28 @@ class TestConfigFile:
         assert run_cli("scaling", "--out", str(tmp_path), "--paths", "20", "--dt", "0.01") == EXIT_CONFIG_ERROR
         assert "config error: two-sample KS needs n >= 50" in capsys.readouterr().err
 
-    def test_hardy_limit_horizon_past_the_tightness_bounds_exits_64_before_any_path(self, tmp_path, capsys,
-                                                                                  monkeypatch):
-        def unreachable(*args, **kwargs):
-            raise AssertionError("a chunk of paths ran")
-
-        monkeypatch.setattr(hardy_limit, "run_chunks", unreachable)
-        args = ["--out", str(tmp_path), "--paths", "10000", "--dt", "0.0001", "--horizon", "1e16"]
-        assert run_cli("hardy-limit", *args) == EXIT_CONFIG_ERROR
-        assert capsys.readouterr().err.startswith("config error: horizon 1e+16 lies past every tightness bound")
+    def test_dt_past_a_suite_horizon_names_dt_and_that_horizon(self, tmp_path, capsys):
+        # reflection runs to horizon 1, which no flag sets
+        assert run_cli("reflection", "--out", str(tmp_path), "--dt", "2") == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == "config error: dt 2.0 exceeds the horizon 1.0\n"
         assert not list(tmp_path.iterdir())
 
     def test_validation(self):
         with pytest.raises(ValueError):
             RunConfig(q_max=0).validate()
-        with pytest.raises(ValueError):
-            RunConfig(variant="x").validate()
 
 
-# the flags each subcommand takes besides --out, and an argument that each flag accepts
+# the flags each subcommand takes besides --out, and an argument for each flag; --horizon and --variant
+# are settings no subcommand takes
 TAKES = {
     "constants": {"--seed"},
-    "exit-dist": {"--seed", "--dt", "--horizon", "--paths", "--workers"},
+    "exit-dist": {"--seed", "--dt", "--paths", "--workers"},
     "reflection": {"--seed", "--dt", "--paths", "--workers"},
     "tightness": {"--seed", "--dt", "--m", "--paths", "--workers"},
-    "scaling": {"--seed", "--dt", "--horizon", "--m", "--paths", "--workers"},
-    "continuity": {"--seed", "--dt", "--horizon", "--m", "--paths", "--workers"},
+    "scaling": {"--seed", "--dt", "--m", "--paths", "--workers"},
+    "continuity": {"--seed", "--dt", "--m", "--paths", "--workers"},
     "martingale": {"--seed", "--paths"},
-    "hardy-limit": {"--seed", "--dt", "--horizon", "--paths", "--q-max", "--variant", "--workers"},
+    "hardy-limit": {"--seed", "--dt", "--paths", "--q-max", "--workers"},
     "report": set(),
 }
 FLAG_ARGS = {"--seed": "1", "--dt": "0.01", "--horizon": "5", "--m": "3", "--paths": "100", "--q-max": "2",
@@ -107,13 +94,13 @@ class TestSuiteSettings:
         path = {"seed", "dt", "n_paths"}
         assert echo == {
             "constants": {"seed"},
-            "exit-dist": path | {"horizon"},
+            "exit-dist": path,
             "reflection": path,
             "tightness": path | {"m"},
-            "scaling": path | {"horizon", "m"},
-            "continuity": path | {"horizon", "m"},
+            "scaling": path | {"m"},
+            "continuity": path | {"m"},
             "martingale": {"seed", "n_paths"},
-            "hardy-limit": path | {"horizon", "q_max", "variant"},
+            "hardy-limit": path | {"q_max"},
         }
 
     @pytest.mark.parametrize("suite", SUITES)
@@ -250,10 +237,11 @@ class TestDeterminism:
 
 
 class TestContinuitySuite:
-    def test_all_censored_fails_and_writes_strict_json(self, tmp_path):
+    def test_all_censored_fails_and_writes_strict_json(self, tmp_path, monkeypatch):
         # a horizon of 10 steps censors every path: no evidence must not pass,
         # and the verdict JSON must hold no Infinity or NaN token
-        args = ["--out", str(tmp_path), "--paths", "200", "--dt", "0.001", "--horizon", "0.01", "--m", "2"]
+        monkeypatch.setattr(cli, "HORIZON", 0.01)
+        args = ["--out", str(tmp_path), "--paths", "200", "--dt", "0.001", "--m", "2"]
         assert run_cli("continuity", *args) == 1
 
         def reject(token):
@@ -515,18 +503,18 @@ class TestGoldenOutputs:
         "constants.csv": "9a90ccb424eb66a4f25cd2e50f46d0234ba786abdbbf766e054f13639dd12ef5",
         "constants.json": "a94becf5a75a8abf4d554b3980004b967c00039bd7a416e222204a62b9d2058e",
         "continuity.csv": "8bfd2ab34f4019c80cb8b8abf9312ab0af9488f35a87a92824edbe2c4df67d65",
-        "continuity.json": "70bc85cc63bf7ec6a85250ae3dcab510359956f659a25bab816cfbe5bb020cb1",
+        "continuity.json": "b7ba730186e884d29d4e4245b428723657546f9a8766ea5be77335cc74294558",
         "exit-dist-trace.csv": "781919ffa4f740faf21da0bbb959fcaf3d766f69306f66da3dc0117ae3f7b2de",
         "exit-dist.csv": "1a7251cee74b12b9c1d56affc3ca9ca30b7071455d04a6668419372cd5e7cc92",
-        "exit-dist.json": "443671855cf10f573bb00aea64e2b5cbd2817a4619f95a86d5c13be8472ed1fb",
+        "exit-dist.json": "7ae857115a5bae65ad03a5ab5648c98b780ce256c941068861969138079ee689",
         "hardy-limit.csv": "d1b49d9d31fbd9646817d5606f43069f7bd3e20e3d5321e3b489c43d7a192b87",
-        "hardy-limit.json": "3e5ea16c2e88c368caa4b67fcc26e4ebd0fc571efce9af45b8446f4a8c1730bb",
+        "hardy-limit.json": "388f9bf0d0b0596c1f02ea8b130d6a9ce480f1d870e9829d49c6248f99aa94e2",
         "martingale.csv": "bffb457f9d6cc768eca0d322515fa3cbcc1c63f28f7e5a965ffbe80137e30257",
         "martingale.json": "c9806394cc5e927bb3d13a3d4b32db4dd6e41c5fcb25fc89a94214d022c9543d",
         "reflection.csv": "3f94f20a88d6d93aa79bce42e70b5f4f52cb24c0ebdfa073e3cab76e0bc7bae8",
         "reflection.json": "7b8e26e2935c4e4da007858a8e493f9412384cad35fed6f618ab938abbddbed8",
         "scaling.csv": "7dc1cd7d3cb9a18a4dcea941ee778d648b22a5be037a8c789d6a0bfa7f07068c",
-        "scaling.json": "e2c6db54c8a7c2c94f011a43f806e6d7573c6e4d00f503d7ffbf257773f332f7",
+        "scaling.json": "3cfb5887e9a2edd3c9e37bdd2b4c3ba8b3d5a42902ee5804a6a75c9bbebaa041",
         "tightness.csv": "0eca15aba1cb5eeb4e4dd29f394925ddc178944eeb5548119c0fea577909ff76",
         "tightness.json": "81dcc83cb7a9461ea7af9610c20087526011c6f425b40bca7e6881bf4570d52f",
     }

@@ -141,6 +141,16 @@ class TestLimitExperiment:
         with pytest.raises(ValueError):
             limit_experiment(u, sched, self.CFG, 10, float(sched.radii[-1]))
 
+    def test_horizon_past_the_tightness_bounds_raises_first(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a chunk of paths ran")
+
+        monkeypatch.setattr(hardy_limit, "run_chunks", unreachable)
+        u = catalog(2, with_rates=True)[0]
+        cfg = PathConfig(m=2, dt=1e-4, horizon=1e16, seed=20260809)
+        with pytest.raises(ValueError, match="^horizon 1e[+]16 lies past every tightness bound"):
+            limit_experiment(u, radius_schedule(u.hardy, 3), cfg, 10000)
+
 
 class TestLimitExperimentValues:
     """The q-window sups against a brute force over the kernel's own blocks.
